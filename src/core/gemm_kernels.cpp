@@ -260,8 +260,48 @@ void affine_f32_scalar(const float* src, float* dst, std::size_t n,
   for (std::size_t i = 0; i < n; ++i) dst[i] = src[i] * scale + shift;
 }
 
+/// Integer tile with the fused fixed-point epilogue, composed from the
+/// scalar standalone kernels themselves — requant, per-row affine, qdq,
+/// ReLU, axpy onto the residual, qdq — so it is the unfused chain by
+/// construction; the AVX2 twin matches it bitwise.
+void tile4x16_i16_ep_scalar(const std::int16_t* apanel,
+                            const std::int16_t* bpanel, int kpairs, float* c,
+                            std::size_t ldc, const float* scale4,
+                            const float* shift4, const float* residual,
+                            std::size_t ldr, int round_shift, int frac_bits,
+                            bool relu, float beta) {
+  constexpr int kTile = kGemmTileRows * kGemmTileCols;
+  std::int32_t acc[kTile];
+  tile4x16_i16_scalar(apanel, bpanel, kpairs, acc, kGemmTileCols, false);
+  float t[kTile];
+  requant_i32_scalar(acc, t, kTile, round_shift, frac_bits);
+  if (scale4 != nullptr) {
+    for (int i = 0; i < kGemmTileRows; ++i) {
+      float* row = t + i * kGemmTileCols;
+      affine_f32_scalar(row, row, kGemmTileCols, scale4[i], shift4[i]);
+    }
+  }
+  qdq_f32_scalar(t, kTile, frac_bits);
+  if (relu) relu_f32_scalar(t, t, kTile);
+  for (int i = 0; i < kGemmTileRows; ++i) {
+    float* row = t + i * kGemmTileCols;
+    if (residual != nullptr) {
+      // row = qdq(residual + beta * row), through a copy: residual may
+      // alias c.
+      float r[kGemmTileCols];
+      std::copy_n(residual + static_cast<std::size_t>(i) * ldr, kGemmTileCols,
+                  r);
+      axpy_f32_scalar(beta, row, r, kGemmTileCols);
+      qdq_f32_scalar(r, kGemmTileCols, frac_bits);
+      std::copy_n(r, kGemmTileCols, row);
+    }
+    std::copy_n(row, kGemmTileCols, c + i * ldc);
+  }
+}
+
 constexpr GemmKernels kScalarKernels{tile4x16_scalar,  dot_scalar,
-                                     tile4x16_i16_scalar, qdq_f32_scalar,
+                                     tile4x16_i16_scalar,
+                                     tile4x16_i16_ep_scalar, qdq_f32_scalar,
                                      quant_f32_i16_scalar, requant_i32_scalar,
                                      max_abs_f32_scalar, tile4x16_ep_scalar,
                                      relu_f32_scalar, axpy_f32_scalar,

@@ -66,6 +66,30 @@ using GemmTileI16Fn = void (*)(const std::int16_t* apanel,
                                std::int32_t* c, std::size_t ldc,
                                bool accumulate);
 
+/// Integer full-tile micro-kernel with the fixed backend's fused conv
+/// EPILOGUE: the tile4x16_i16 accumulation (never accumulating onto C),
+/// then — while the int32 tile is still in registers — every element runs
+/// this chain before its single float store into C (leading dimension
+/// ldc), all on the Q(frac_bits) grid:
+///   t = requant(acc, round_shift)       (RequantI32Fn's rounding shift)
+///   t = t * scale4[i] + shift4[i]       (when scale4; separate mul + add)
+///   t = qdq(t)                          (QdqF32Fn's round trip)
+///   t = max(t, 0)                       (when relu)
+///   t = qdq(residual[i*ldr+j] + beta*t) (when residual != nullptr)
+/// scale4/shift4 are this tile's 4 per-row coefficients (set together or
+/// both null); residual points at the tile's own window and may alias c
+/// (each element is read before its store). Every step is the standalone
+/// kernel's exact operation sequence, so the tile is bitwise identical to
+/// requantize -> BN affine -> qdq -> ReLU -> axpy -> qdq run as passes, on
+/// either ISA.
+using GemmTileI16Ep4x16Fn = void (*)(const std::int16_t* apanel,
+                                     const std::int16_t* bpanel, int kpairs,
+                                     float* c, std::size_t ldc,
+                                     const float* scale4, const float* shift4,
+                                     const float* residual, std::size_t ldr,
+                                     int round_shift, int frac_bits,
+                                     bool relu, float beta);
+
 /// Saturating Q(frac_bits) quantize/dequantize round trip over a float
 /// span, elementwise — fixed::qdq_inplace's inner loop, lifted into the
 /// kernel table so the SIMD TU can vectorize it. Bitwise identical to
@@ -136,6 +160,7 @@ struct GemmKernels {
   GemmTile4x16Fn tile4x16;
   GemmDotFn dot;
   GemmTileI16Fn tile4x16_i16;
+  GemmTileI16Ep4x16Fn tile4x16_i16_ep;
   QdqF32Fn qdq_f32;
   QuantF32ToI16Fn quant_f32_i16;
   RequantI32Fn requant_i32;
@@ -236,5 +261,21 @@ void pack_gemm_b_i16(const std::int16_t* b, int k, int n, PackedGemmB16& out);
 /// count (integer addition commutes mod 2^32).
 void gemm_i16_tiled_pa(const PackedGemmA16& a, const std::int16_t* b,
                        std::int32_t* c, int n, bool accumulate);
+
+/// The fused epilogue of gemm_i16_lowered_ep (see GemmTileI16Ep4x16Fn for
+/// the per-element chain). Accumulators are at Q(frac_bits + round_shift);
+/// every output lands on the Q(frac_bits) grid. scale/shift hold one
+/// coefficient per output row (conv out channel) and are set together or
+/// both null. residual shares the output's NCHW layout and may alias it
+/// (the in-place Euler update z = qdq(z + h*t)).
+struct GemmI16Epilogue {
+  int round_shift = 0;
+  int frac_bits = 20;
+  const float* scale = nullptr;
+  const float* shift = nullptr;
+  bool relu = false;
+  const float* residual = nullptr;
+  float beta = 1.0f;
+};
 
 }  // namespace odenet::core

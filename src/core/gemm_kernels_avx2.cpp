@@ -153,28 +153,17 @@ float dot_avx2(const float* x, const float* y, int k) {
   return out;
 }
 
-/// Integer 4x16 tile via `_mm256_madd_epi16`: each 32-bit broadcast of a
-/// packed A pair against a [16][2] pair-interleaved B row yields, per
-/// 32-bit lane, the dot of one k-pair for one output column — 8 int32
-/// partial sums per madd, accumulated with wraparound `_mm256_add_epi32`.
-/// Bitwise identical to the scalar kernel (uint32 wrap there), since
-/// integer addition commutes mod 2^32.
-void tile4x16_i16_avx2(const std::int16_t* apanel, const std::int16_t* bpanel,
-                       int kpairs, std::int32_t* c, std::size_t ldc,
-                       bool accumulate) {
-  __m256i c00, c01, c10, c11, c20, c21, c30, c31;
-  if (accumulate) {
-    c00 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + 0 * ldc));
-    c01 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + 0 * ldc + 8));
-    c10 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + 1 * ldc));
-    c11 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + 1 * ldc + 8));
-    c20 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + 2 * ldc));
-    c21 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + 2 * ldc + 8));
-    c30 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + 3 * ldc));
-    c31 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + 3 * ldc + 8));
-  } else {
-    c00 = c01 = c10 = c11 = c20 = c21 = c30 = c31 = _mm256_setzero_si256();
-  }
+/// The integer 4x16 tile's k loop via `_mm256_madd_epi16`: each 32-bit
+/// broadcast of a packed A pair against a [16][2] pair-interleaved B row
+/// yields, per 32-bit lane, the dot of one k-pair for one output column —
+/// 8 int32 partial sums per madd, accumulated with wraparound
+/// `_mm256_add_epi32` into c<row><half>. Bitwise identical to the scalar
+/// kernel (uint32 wrap there), since integer addition commutes mod 2^32.
+/// Named accumulators (not an array) keep all eight in registers.
+__attribute__((always_inline)) inline void i16_tile_accumulate(
+    const std::int16_t* apanel, const std::int16_t* bpanel, int kpairs,
+    __m256i& c00, __m256i& c01, __m256i& c10, __m256i& c11, __m256i& c20,
+    __m256i& c21, __m256i& c30, __m256i& c31) {
   for (int p = 0; p < kpairs; ++p) {
     const std::int16_t* brow = bpanel + static_cast<std::size_t>(p) * 32;
     // [16][2] pair-interleaved: lane j of b0/b1 holds (B[2p][j], B[2p+1][j]).
@@ -201,6 +190,26 @@ void tile4x16_i16_avx2(const std::int16_t* apanel, const std::int16_t* bpanel,
     c30 = _mm256_add_epi32(c30, _mm256_madd_epi16(av, b0));
     c31 = _mm256_add_epi32(c31, _mm256_madd_epi16(av, b1));
   }
+}
+
+void tile4x16_i16_avx2(const std::int16_t* apanel, const std::int16_t* bpanel,
+                       int kpairs, std::int32_t* c, std::size_t ldc,
+                       bool accumulate) {
+  __m256i c00, c01, c10, c11, c20, c21, c30, c31;
+  if (accumulate) {
+    c00 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + 0 * ldc));
+    c01 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + 0 * ldc + 8));
+    c10 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + 1 * ldc));
+    c11 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + 1 * ldc + 8));
+    c20 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + 2 * ldc));
+    c21 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + 2 * ldc + 8));
+    c30 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + 3 * ldc));
+    c31 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + 3 * ldc + 8));
+  } else {
+    c00 = c01 = c10 = c11 = c20 = c21 = c30 = c31 = _mm256_setzero_si256();
+  }
+  i16_tile_accumulate(apanel, bpanel, kpairs, c00, c01, c10, c11, c20, c21,
+                      c30, c31);
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + 0 * ldc), c00);
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + 0 * ldc + 8), c01);
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + 1 * ldc), c10);
@@ -335,6 +344,92 @@ void requant_i32_avx2(const std::int32_t* acc, float* dst, std::size_t n,
   }
 }
 
+/// 8 int32 accumulators through the requantization shift, as 8 floats
+/// on the Q(frac) grid, in the integer domain: r = sign(a) * ((|a| +
+/// half) >> shift) is requant_i32_scalar's round-half-away integer
+/// (|a| and the sum taken as uint32, so a = -2^31 is exact), and
+/// float(r) * 2^-frac equals its float(double(r) * 2^-frac) — scaling by
+/// a power of two commutes with the one rounding to float.
+inline __m256 requant8(__m256i a, __m256i half, __m128i shift,
+                       __m256 inv_frac) {
+  const __m256i mag = _mm256_srl_epi32(
+      _mm256_add_epi32(_mm256_abs_epi32(a), half), shift);
+  return _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_sign_epi32(mag, a)),
+                       inv_frac);
+}
+
+/// 8 floats through the saturating Q(frac) round trip, equal to
+/// qdq_f32_avx2 per element but computed in float: s = t * 2^frac is
+/// exact (an overflow to inf saturates below just like the double clamp);
+/// t' = trunc(s) and the exact remainder s - t' give round half away
+/// from zero without the s + 0.5 rounding hazard; the rounded integer
+/// is then exactly representable in float, so the clamp to [-2^31, 2^31]
+/// (float(2^31 - 1) == 2^31) and the final exact scaling reproduce the
+/// double-domain result. NaN -> 0 and -0.0 -> +0.0 as there.
+inline __m256 qdq8(__m256 t, __m256 one, __m256 inv) {
+  const __m256 sign_mask = _mm256_set1_ps(-0.0f);
+  const __m256 s = _mm256_mul_ps(t, one);
+  const __m256 whole =
+      _mm256_round_ps(s, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+  const __m256 frac = _mm256_andnot_ps(sign_mask, _mm256_sub_ps(s, whole));
+  const __m256 step = _mm256_and_ps(
+      _mm256_cmp_ps(frac, _mm256_set1_ps(0.5f), _CMP_GE_OQ),
+      _mm256_or_ps(_mm256_and_ps(s, sign_mask), _mm256_set1_ps(1.0f)));
+  __m256 r = _mm256_add_ps(whole, step);
+  r = _mm256_max_ps(r, _mm256_set1_ps(-2147483648.0f));
+  r = _mm256_min_ps(r, _mm256_set1_ps(2147483648.0f));
+  r = _mm256_and_ps(r, _mm256_cmp_ps(s, s, _CMP_ORD_Q));  // NaN -> 0
+  return _mm256_mul_ps(_mm256_add_ps(r, _mm256_setzero_ps()), inv);
+}
+
+/// Integer tile with the fused fixed-point epilogue: i16_tile_accumulate,
+/// then per ymm pair the requant, affine (separate mul + add; this TU is
+/// built with -ffp-contract=off), qdq, ReLU (maxps with the value first:
+/// qdq output is never NaN or -0.0) and residual + qdq steps — each
+/// bitwise equal to its standalone kernel, so the tile is bitwise equal
+/// to tile4x16_i16_ep_scalar.
+void tile4x16_i16_ep_avx2(const std::int16_t* apanel,
+                          const std::int16_t* bpanel, int kpairs, float* c,
+                          std::size_t ldc, const float* scale4,
+                          const float* shift4, const float* residual,
+                          std::size_t ldr, int round_shift, int frac_bits,
+                          bool relu, float beta) {
+  __m256i c00, c01, c10, c11, c20, c21, c30, c31;
+  c00 = c01 = c10 = c11 = c20 = c21 = c30 = c31 = _mm256_setzero_si256();
+  i16_tile_accumulate(apanel, bpanel, kpairs, c00, c01, c10, c11, c20, c21,
+                      c30, c31);
+  const __m256i acc[kGemmTileRows][2] = {
+      {c00, c01}, {c10, c11}, {c20, c21}, {c30, c31}};
+  const __m256i half = _mm256_set1_epi32(
+      round_shift > 0 ? std::int32_t{1} << (round_shift - 1) : 0);
+  const __m128i shift = _mm_cvtsi32_si128(round_shift);
+  // 2^+-frac_bits are exact floats for frac_bits < 31.
+  const float one_f = static_cast<float>(std::int64_t{1} << frac_bits);
+  const __m256 one = _mm256_set1_ps(one_f);
+  const __m256 inv = _mm256_set1_ps(1.0f / one_f);
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256 beta_v = _mm256_set1_ps(beta);
+  for (int i = 0; i < kGemmTileRows; ++i) {
+    float* crow = c + static_cast<std::size_t>(i) * ldc;
+    for (int h = 0; h < 2; ++h) {
+      __m256 t = requant8(acc[i][h], half, shift, inv);
+      if (scale4 != nullptr) {
+        t = _mm256_mul_ps(t, _mm256_broadcast_ss(scale4 + i));
+        t = _mm256_add_ps(t, _mm256_broadcast_ss(shift4 + i));
+      }
+      t = qdq8(t, one, inv);
+      if (relu) t = _mm256_max_ps(t, zero);
+      if (residual != nullptr) {
+        const float* r = residual + static_cast<std::size_t>(i) * ldr;
+        t = qdq8(_mm256_add_ps(_mm256_loadu_ps(r + 8 * h),
+                               _mm256_mul_ps(beta_v, t)),
+                 one, inv);
+      }
+      _mm256_storeu_ps(crow + 8 * h, t);
+    }
+  }
+}
+
 float max_abs_f32_avx2(const float* src, std::size_t n) {
   const __m256 abs_mask =
       _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
@@ -409,7 +504,8 @@ void affine_f32_avx2(const float* src, float* dst, std::size_t n, float scale,
 }
 
 constexpr GemmKernels kAvx2Kernels{tile4x16_avx2,     dot_avx2,
-                                   tile4x16_i16_avx2, qdq_f32_avx2,
+                                   tile4x16_i16_avx2, tile4x16_i16_ep_avx2,
+                                   qdq_f32_avx2,
                                    quant_f32_i16_avx2, requant_i32_avx2,
                                    max_abs_f32_avx2, tile4x16_ep_avx2,
                                    relu_f32_avx2, axpy_f32_avx2,

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cstring>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "core/gemm_kernels.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
@@ -279,6 +283,48 @@ constexpr int kPanelCols = 256;
 // B-panel pack per task stays amortized.
 constexpr int kMinRowTilesPerTask = 8;
 
+// Runs run_span(panel, t0, t1) over every column panel x row-tile span
+// of an [m, k] x [k, n] product: sequentially below the parallel flop
+// threshold, else one task per panel x row block on the kernel pool.
+// Split along m too when column panels alone cannot feed every worker
+// (the tall-skinny dX GEMM, small batches on wide machines); each extra
+// row block re-packs its panel's B tiles, so blocks stay >= 8 row tiles.
+// Every output tile is computed whole inside one task, so any split
+// gives bitwise-identical output.
+template <typename Span>
+void run_panel_split(int m, int k, int n, int panels, int row_tiles,
+                     const Span& run_span) {
+  const std::size_t flops = 2ull * static_cast<std::size_t>(m) *
+                            static_cast<std::size_t>(k) *
+                            static_cast<std::size_t>(n);
+  util::ThreadPool& pool = kernel_pool();
+  const std::size_t workers = pool.worker_count();
+  if (flops < gemm_parallel_min_flops() || workers <= 1) {
+    for (int pi = 0; pi < panels; ++pi) run_span(pi, 0, row_tiles);
+    return;
+  }
+  int row_blocks = 1;
+  if (static_cast<std::size_t>(panels) < workers) {
+    const int max_blocks =
+        (row_tiles + kMinRowTilesPerTask - 1) / kMinRowTilesPerTask;
+    row_blocks = std::min<int>(
+        max_blocks,
+        static_cast<int>((workers + panels - 1) /
+                         static_cast<std::size_t>(panels)));
+    row_blocks = std::max(row_blocks, 1);
+  }
+  const int tiles_per_block = (row_tiles + row_blocks - 1) / row_blocks;
+  util::parallel_for(
+      pool, 0, static_cast<std::size_t>(panels) * row_blocks,
+      [&](std::size_t task) {
+        const int pi = static_cast<int>(task) / row_blocks;
+        const int rb = static_cast<int>(task) % row_blocks;
+        const int t0 = rb * tiles_per_block;
+        const int t1 = std::min(row_tiles, t0 + tiles_per_block);
+        if (t0 < t1) run_span(pi, t0, t1);
+      });
+}
+
 }  // namespace
 
 void pack_gemm_a(const float* a, int m, int k, PackedGemmA& out) {
@@ -373,38 +419,7 @@ void gemm_tiled_pa(const PackedGemmA& a, const float* b, float* c, int n,
     }
   };
 
-  const std::size_t flops = 2ull * static_cast<std::size_t>(m) *
-                            static_cast<std::size_t>(k) *
-                            static_cast<std::size_t>(n);
-  util::ThreadPool& pool = kernel_pool();
-  const std::size_t workers = pool.worker_count();
-  if (flops < gemm_parallel_min_flops() || workers <= 1) {
-    for (int pi = 0; pi < panels; ++pi) run_span(pi, 0, row_tiles);
-    return;
-  }
-  // Split along m too when column panels alone cannot feed every worker
-  // (the tall-skinny dX GEMM, small batches on wide machines). Each extra
-  // row block re-packs its panel's B tiles, so blocks stay >= 8 row tiles.
-  int row_blocks = 1;
-  if (static_cast<std::size_t>(panels) < workers) {
-    const int max_blocks =
-        (row_tiles + kMinRowTilesPerTask - 1) / kMinRowTilesPerTask;
-    row_blocks = std::min<int>(
-        max_blocks,
-        static_cast<int>((workers + panels - 1) /
-                         static_cast<std::size_t>(panels)));
-    row_blocks = std::max(row_blocks, 1);
-  }
-  const int tiles_per_block = (row_tiles + row_blocks - 1) / row_blocks;
-  util::parallel_for(
-      pool, 0, static_cast<std::size_t>(panels) * row_blocks,
-      [&](std::size_t task) {
-        const int pi = static_cast<int>(task) / row_blocks;
-        const int rb = static_cast<int>(task) % row_blocks;
-        const int t0 = rb * tiles_per_block;
-        const int t1 = std::min(row_tiles, t0 + tiles_per_block);
-        if (t0 < t1) run_span(pi, t0, t1);
-      });
+  run_panel_split(m, k, n, panels, row_tiles, run_span);
 }
 
 void gemm_tiled_pa_ep(const PackedGemmA& a, const float* b, float* c, int n,
@@ -487,35 +502,7 @@ void gemm_tiled_pa_ep(const PackedGemmA& a, const float* b, float* c, int n,
     }
   };
 
-  const std::size_t flops = 2ull * static_cast<std::size_t>(m) *
-                            static_cast<std::size_t>(k) *
-                            static_cast<std::size_t>(n);
-  util::ThreadPool& pool = kernel_pool();
-  const std::size_t workers = pool.worker_count();
-  if (flops < gemm_parallel_min_flops() || workers <= 1) {
-    for (int pi = 0; pi < panels; ++pi) run_span(pi, 0, row_tiles);
-    return;
-  }
-  int row_blocks = 1;
-  if (static_cast<std::size_t>(panels) < workers) {
-    const int max_blocks =
-        (row_tiles + kMinRowTilesPerTask - 1) / kMinRowTilesPerTask;
-    row_blocks = std::min<int>(
-        max_blocks,
-        static_cast<int>((workers + panels - 1) /
-                         static_cast<std::size_t>(panels)));
-    row_blocks = std::max(row_blocks, 1);
-  }
-  const int tiles_per_block = (row_tiles + row_blocks - 1) / row_blocks;
-  util::parallel_for(
-      pool, 0, static_cast<std::size_t>(panels) * row_blocks,
-      [&](std::size_t task) {
-        const int pi = static_cast<int>(task) / row_blocks;
-        const int rb = static_cast<int>(task) % row_blocks;
-        const int t0 = rb * tiles_per_block;
-        const int t1 = std::min(row_tiles, t0 + tiles_per_block);
-        if (t0 < t1) run_span(pi, t0, t1);
-      });
+  run_panel_split(m, k, n, panels, row_tiles, run_span);
 }
 
 namespace {
@@ -711,35 +698,259 @@ void gemm_tiled_pa_ep_lowered(const PackedGemmA& a, const float* src,
     }
   };
 
-  const std::size_t flops = 2ull * static_cast<std::size_t>(m) *
-                            static_cast<std::size_t>(k) *
-                            static_cast<std::size_t>(n);
-  util::ThreadPool& pool = kernel_pool();
-  const std::size_t workers = pool.worker_count();
-  if (flops < gemm_parallel_min_flops() || workers <= 1) {
-    for (int pi = 0; pi < panels; ++pi) run_span(pi, 0, row_tiles);
-    return;
+  run_panel_split(m, k, n, panels, row_tiles, run_span);
+}
+
+namespace {
+
+// Pair-interleaves two 16-column tap rows into one [16][2] micro-panel
+// k-pair — dst[2j] = r0[j] & m0[j], dst[2j+1] = r1[j] & m1[j] — with the
+// 0 / -1 masks zeroing out-of-image taps.
+inline void interleave_masked_pair16(const std::int16_t* r0,
+                                     const std::int16_t* m0,
+                                     const std::int16_t* r1,
+                                     const std::int16_t* m1,
+                                     std::int16_t* dst) {
+#if defined(__SSE2__)
+  for (int h = 0; h < 2; ++h) {
+    const __m128i a = _mm_and_si128(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(r0 + 8 * h)),
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(m0 + 8 * h)));
+    const __m128i b = _mm_and_si128(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(r1 + 8 * h)),
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(m1 + 8 * h)));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 16 * h),
+                     _mm_unpacklo_epi16(a, b));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 16 * h + 8),
+                     _mm_unpackhi_epi16(a, b));
   }
-  int row_blocks = 1;
-  if (static_cast<std::size_t>(panels) < workers) {
-    const int max_blocks =
-        (row_tiles + kMinRowTilesPerTask - 1) / kMinRowTilesPerTask;
-    row_blocks = std::min<int>(
-        max_blocks,
-        static_cast<int>((workers + panels - 1) /
-                         static_cast<std::size_t>(panels)));
-    row_blocks = std::max(row_blocks, 1);
+#else
+  for (int j = 0; j < kTileCols; ++j) {
+    dst[2 * j] = static_cast<std::int16_t>(r0[j] & m0[j]);
+    dst[2 * j + 1] = static_cast<std::int16_t>(r1[j] & m1[j]);
   }
-  const int tiles_per_block = (row_tiles + row_blocks - 1) / row_blocks;
-  util::parallel_for(
-      pool, 0, static_cast<std::size_t>(panels) * row_blocks,
-      [&](std::size_t task) {
-        const int pi = static_cast<int>(task) / row_blocks;
-        const int rb = static_cast<int>(task) % row_blocks;
-        const int t0 = rb * tiles_per_block;
-        const int t1 = std::min(row_tiles, t0 + tiles_per_block);
-        if (t0 < t1) run_span(pi, t0, t1);
-      });
+#endif
+}
+
+constexpr std::int16_t kZeroRow[kTileCols] = {};
+
+}  // namespace
+
+void gemm_i16_lowered_ep(const PackedGemmA16& a, const std::int16_t* src,
+                         const LoweringGeometry& g, int batch, float* out,
+                         const GemmI16Epilogue& ep) {
+  const int m = a.m, k = a.k;
+  ODENET_CHECK(k == static_cast<int>(g.col_rows()),
+               "gemm_i16_lowered_ep: packed A k " << k
+                   << " != lowering rows " << g.col_rows());
+  ODENET_CHECK(batch > 0, "gemm_i16_lowered_ep needs a non-empty batch");
+  ODENET_CHECK((ep.scale == nullptr) == (ep.shift == nullptr),
+               "gemm_i16_lowered_ep: scale and shift are set together");
+  const int kk = g.kernel * g.kernel;
+  const int wo = g.out_w();
+  const std::size_t in_plane =
+      static_cast<std::size_t>(g.height) * static_cast<std::size_t>(g.width);
+  const std::size_t sample = static_cast<std::size_t>(g.channels) * in_plane;
+  const std::size_t image = sample * static_cast<std::size_t>(batch);
+  const std::size_t plane = g.col_cols();
+  const int n = static_cast<int>(plane * static_cast<std::size_t>(batch));
+  if (m == 0 || n == 0) return;
+  const int kp = a.kpairs();
+  const GemmKernels& kernels = active_gemm_kernels();
+  const int panels = (n + kPanelCols - 1) / kPanelCols;
+  const int row_tiles = (m + kTileRows - 1) / kTileRows;
+
+  // Per-tap gather plan, shared read-only by every task. Stride-1 "same"
+  // geometry with tile-aligned planes: tap (kh, kw)'s lowered row is the
+  // input plane flat-shifted by (kh - pad) * W + (kw - pad), ANDed with
+  // the tap's mask plane (0 / -1 per output position) wherever the tap
+  // falls outside the image — two vector loads and an AND per 16
+  // columns. Every other geometry (stride 2, planes not a multiple of 16
+  // so tiles straddle samples, the ragged last tile) reads through the
+  // tap's offset plane: the in-sample source offset for each output
+  // position, or -1 outside the image.
+  const bool same = g.stride == 1 && g.out_h() == g.height &&
+                    wo == g.width && plane % kTileCols == 0;
+  std::vector<std::int16_t> mask;
+  std::vector<std::int32_t> offset;
+  if (same) {
+    mask.resize(static_cast<std::size_t>(kk) * plane);
+  } else {
+    offset.resize(static_cast<std::size_t>(kk) * plane);
+  }
+  // Per lowered row r = (channel, tap): the source offset of its channel
+  // plane (plus, for the same geometry, the tap's flat shift) and the
+  // start of its tap's mask/offset plane.
+  std::vector<std::ptrdiff_t> row_src(static_cast<std::size_t>(k));
+  std::vector<std::size_t> row_tap(static_cast<std::size_t>(k));
+  for (int r = 0; r < k; ++r) {
+    const int t = r % kk;
+    const std::ptrdiff_t flat_shift =
+        static_cast<std::ptrdiff_t>(t / g.kernel - g.pad) * g.width +
+        (t % g.kernel - g.pad);
+    row_src[static_cast<std::size_t>(r)] =
+        static_cast<std::ptrdiff_t>(static_cast<std::size_t>(r / kk) *
+                                    in_plane) +
+        (same ? flat_shift : 0);
+    row_tap[static_cast<std::size_t>(r)] = static_cast<std::size_t>(t) * plane;
+  }
+  for (int t = 0; t < kk; ++t) {
+    const int kh = t / g.kernel, kw = t % g.kernel;
+    for (std::size_t q = 0; q < plane; ++q) {
+      const int oh = static_cast<int>(q) / wo, ow = static_cast<int>(q) % wo;
+      const int ih = oh * g.stride - g.pad + kh;
+      const int iw = ow * g.stride - g.pad + kw;
+      const bool inside = ih >= 0 && ih < g.height && iw >= 0 && iw < g.width;
+      const std::size_t at = static_cast<std::size_t>(t) * plane + q;
+      if (same) {
+        mask[at] = inside ? std::int16_t{-1} : std::int16_t{0};
+      } else {
+        offset[at] = inside ? ih * g.width + iw : -1;
+      }
+    }
+  }
+
+  // NCHW offset of output element (row, flat column col).
+  auto nchw = [&](int row, int col) {
+    const std::size_t ni = static_cast<std::size_t>(col) / plane;
+    return (ni * m + row) * plane +
+           (static_cast<std::size_t>(col) - ni * plane);
+  };
+
+  // Source and mask of tap row r for the 16 columns at (sample ni,
+  // position q0) of the same geometry. A window that would read past
+  // either end of the image buffer is gathered into `tmp` first — only
+  // its masked-in taps, which always lie inside — under an all-ones mask.
+  static constexpr std::int16_t kAllOnes[kTileCols] = {
+      -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1};
+  struct TapRow {
+    const std::int16_t* values;
+    const std::int16_t* mask;
+  };
+  auto same_row = [&](int r, std::size_t ni, std::size_t q0,
+                      std::int16_t* tmp) {
+    const std::int16_t* m16 =
+        mask.data() + row_tap[static_cast<std::size_t>(r)] + q0;
+    const std::ptrdiff_t at =
+        static_cast<std::ptrdiff_t>(ni * sample + q0) +
+        row_src[static_cast<std::size_t>(r)];
+    if (at >= 0 && at + kTileCols <= static_cast<std::ptrdiff_t>(image)) {
+      return TapRow{src + at, m16};
+    }
+    for (int j = 0; j < kTileCols; ++j) tmp[j] = m16[j] != 0 ? src[at + j] : 0;
+    return TapRow{tmp, kAllOnes};
+  };
+
+  // One task = one column panel x one row-tile span (run_panel_split).
+  // The panel's B micro-panels are gathered straight from the int16 image
+  // into task-local storage, two tap rows at a time, pair-interleaved —
+  // the values gemm_i16_tiled_pa packs from an im2col_batched_i16
+  // matrix, with phantom columns and the phantom odd-k tap zeroed.
+  auto run_span = [&](int pi, int t0, int t1) {
+    const int p0 = pi * kPanelCols;
+    const int pn = std::min(kPanelCols, n - p0);
+    const int tiles = (pn + kTileCols - 1) / kTileCols;
+    const std::size_t panel_stride =
+        static_cast<std::size_t>(kp) * kTileCols * 2;
+    static thread_local std::vector<std::int16_t> packed;
+    packed.resize(static_cast<std::size_t>(tiles) * panel_stride);
+    for (int jt = 0; jt < tiles; ++jt) {
+      const int col0 = p0 + jt * kTileCols;
+      std::int16_t* dst = packed.data() + jt * panel_stride;
+      if (same) {
+        const std::size_t ni = static_cast<std::size_t>(col0) / plane;
+        const std::size_t q0 = static_cast<std::size_t>(col0) - ni * plane;
+        std::int16_t tmp[2][kTileCols];
+        for (int p = 0; p < kp; ++p, dst += kTileCols * 2) {
+          const TapRow even = same_row(2 * p, ni, q0, tmp[0]);
+          const TapRow odd = 2 * p + 1 < k ? same_row(2 * p + 1, ni, q0, tmp[1])
+                                           : TapRow{kZeroRow, kZeroRow};
+          interleave_masked_pair16(even.values, even.mask, odd.values,
+                                   odd.mask, dst);
+        }
+        continue;
+      }
+      // General stride: per-column offsets; phantom columns past n read 0.
+      std::size_t base[kTileCols];
+      const std::int32_t* qoff[kTileCols];
+      for (int j = 0; j < kTileCols; ++j) {
+        const int col = std::min(col0 + j, n - 1);
+        const std::size_t ni = static_cast<std::size_t>(col) / plane;
+        base[j] = col0 + j < n ? ni * sample : image;
+        qoff[j] = offset.data() + (static_cast<std::size_t>(col) - ni * plane);
+      }
+      std::int16_t rows[2][kTileCols];
+      for (int p = 0; p < kp; ++p, dst += kTileCols * 2) {
+        for (int s = 0; s < 2; ++s) {
+          const int r = 2 * p + s;
+          if (r >= k) {
+            std::fill_n(rows[s], kTileCols, std::int16_t{0});
+            continue;
+          }
+          const std::int16_t* chan = src + row_src[static_cast<std::size_t>(r)];
+          const std::size_t tplane = row_tap[static_cast<std::size_t>(r)];
+          for (int j = 0; j < kTileCols; ++j) {
+            const std::int32_t off = qoff[j][tplane];
+            rows[s][j] = off >= 0 && base[j] < image
+                             ? chan[base[j] + static_cast<std::size_t>(off)]
+                             : std::int16_t{0};
+          }
+        }
+        interleave_masked_pair16(rows[0], kAllOnes, rows[1], kAllOnes, dst);
+      }
+    }
+    for (int t = t0; t < t1; ++t) {
+      const int i0 = t * kTileRows;
+      const int mr = std::min(kTileRows, m - i0);
+      const std::int16_t* apanel =
+          a.data.data() + static_cast<std::size_t>(t) * kp * kTileRows * 2;
+      // The ragged last row tile reads zero-padded coefficient copies.
+      float s4[kTileRows] = {}, b4[kTileRows] = {};
+      const float* scale4 = nullptr;
+      const float* shift4 = nullptr;
+      if (ep.scale != nullptr) {
+        std::copy_n(ep.scale + i0, mr, s4);
+        std::copy_n(ep.shift + i0, mr, b4);
+        scale4 = s4;
+        shift4 = b4;
+      }
+      for (int jt = 0; jt < tiles; ++jt) {
+        const int j0 = p0 + jt * kTileCols;
+        const int nr = std::min(kTileCols, n - j0);
+        const std::int16_t* bp = packed.data() + jt * panel_stride;
+        const std::size_t q0 = static_cast<std::size_t>(j0) % plane;
+        if (mr == kTileRows && nr == kTileCols && q0 + kTileCols <= plane) {
+          // The whole tile sits inside one sample: store NCHW directly.
+          const std::size_t off = nchw(i0, j0);
+          kernels.tile4x16_i16_ep(
+              apanel, bp, kp, out + off, plane, scale4, shift4,
+              ep.residual != nullptr ? ep.residual + off : nullptr, plane,
+              ep.round_shift, ep.frac_bits, ep.relu, ep.beta);
+          continue;
+        }
+        // Edge tile (ragged rows/columns, or straddling two samples): run
+        // the full kernel on a local tile and scatter the live corner.
+        float tile[kTileRows * kTileCols] = {};
+        if (ep.residual != nullptr) {
+          for (int i = 0; i < mr; ++i) {
+            for (int j = 0; j < nr; ++j) {
+              tile[i * kTileCols + j] = ep.residual[nchw(i0 + i, j0 + j)];
+            }
+          }
+        }
+        kernels.tile4x16_i16_ep(
+            apanel, bp, kp, tile, kTileCols, scale4, shift4,
+            ep.residual != nullptr ? tile : nullptr, kTileCols,
+            ep.round_shift, ep.frac_bits, ep.relu, ep.beta);
+        for (int i = 0; i < mr; ++i) {
+          for (int j = 0; j < nr; ++j) {
+            out[nchw(i0 + i, j0 + j)] = tile[i * kTileCols + j];
+          }
+        }
+      }
+    }
+  };
+  run_panel_split(m, k, n, panels, row_tiles, run_span);
 }
 
 void permute_channel_major_add(const float* src, float* dst, int batch,
@@ -800,7 +1011,9 @@ void gemm_tiled_pb(const float* a, const PackedGemmB& b, float* c, int m,
   const GemmKernels& kernels = active_gemm_kernels();
   const int col_tiles = (n + kTileCols - 1) / kTileCols;
   const int row_tiles = (m + kTileRows - 1) / kTileRows;
-  static thread_local PackedGemmA pa;
+  // A is packed into storage this call owns: the worker lambda captures
+  // it by reference, so every pool worker reads the caller's panels.
+  PackedGemmA pa;
   pack_gemm_a(a, m, k, pa);
 
   auto run_tiles = [&](int t0, int t1) {

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/gemm_kernels.hpp"
+
 namespace odenet::core {
 
 /// Geometry for one lowering (square input, square kernel).
@@ -170,6 +172,22 @@ void gemm_tiled_pa_ep_lowered(const PackedGemmA& a, const float* src,
                               const LoweringGeometry& g, int batch, float* c,
                               const GemmEpilogue& ep);
 
+/// The fixed backend's fused int16 convolution: out = ep(A16 * lower(src))
+/// with the lowering implicit. src is the int16 [batch, C, H, W] image
+/// (g.channels = C, the time plane included); out and ep.residual are NCHW
+/// [batch, a.m, out_h, out_w] float (residual may alias out). Each column
+/// panel's pair-interleaved B micro-panels are gathered straight from src
+/// — no column matrix, no separate re-pack — and every 4x16 tile runs
+/// tile4x16_i16_ep, storing NCHW in place (tiles that straddle samples or
+/// ragged edges go through a local tile). Any geometry and batch; the
+/// int32 accumulators equal gemm_i16_tiled_pa over im2col_batched_i16, so
+/// the output is bitwise identical to quantize -> lower -> GEMM ->
+/// requantize -> permute -> BN -> qdq -> ReLU -> axpy -> qdq as passes,
+/// on either ISA and under any thread split. a.k must be g.col_rows().
+void gemm_i16_lowered_ep(const PackedGemmA16& a, const std::int16_t* src,
+                         const LoweringGeometry& g, int batch, float* out,
+                         const GemmI16Epilogue& ep);
+
 /// permute_channel_major(to_nchw=true) fused with an axpy: NCHW dst +=
 /// channel-major src (the batched fused conv's residual accumulation).
 /// src and dst must not alias. Parallelized over samples.
@@ -192,7 +210,8 @@ void pack_gemm_b_nt(const float* bt, int k, int n, PackedGemmB& out);
 
 /// C[m,n] (+)= A[m,k] * B with B pre-packed (the Linear forward product
 /// X * W^T with W packed once per version). A is packed per call into
-/// recycled thread-local storage.
+/// storage the call owns, which every pool worker of the row-tile split
+/// reads.
 void gemm_tiled_pb(const float* a, const PackedGemmB& b, float* c, int m,
                    bool accumulate);
 

@@ -1,7 +1,9 @@
 #include "models/executor.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "core/gemm_kernels.hpp"
@@ -40,15 +42,61 @@ core::Tensor FloatStageExecutor::run(Stage& stage, const core::Tensor& x,
   return out;
 }
 
-namespace {
-
-/// Saturating round trip through Qx.frac_bits — the activation precision a
-/// fixed-point datapath would keep between stages.
-core::Tensor qdq(const core::Tensor& t, int frac_bits) {
-  return fixed::dequantize(fixed::quantize(t, frac_bits));
+int FixedStageExecutor::int16_weight_frac_bits(const core::Tensor& w,
+                                               int frac_bits) {
+  // The largest fw <= kWeightFracMax for which the integer datapath is
+  // HARD overflow-free: (a) no weight saturates — max|w|*2^fw <= 32767
+  // keeps |w_q| <= 32767, so no int16 product pair can wrap a madd lane;
+  // (b) the accumulator envelope — sum_k |w_q| <= 65535 bounds |acc| <=
+  // 65535 * 32768 < 2^31 for ANY int16 activations. The L1 bound uses the
+  // worst row (out channel) plus the per-tap rounding slack.
+  const int rows = w.dim(0);
+  const std::size_t taps = w.numel() / static_cast<std::size_t>(rows);
+  double max_abs = 0.0, max_l1 = 0.0;
+  for (int r = 0; r < rows; ++r) {
+    const float* row = w.data() + static_cast<std::size_t>(r) * taps;
+    double l1 = 0.0;
+    for (std::size_t p = 0; p < taps; ++p) {
+      const double a = std::fabs(static_cast<double>(row[p]));
+      l1 += a;
+      if (a > max_abs) max_abs = a;
+    }
+    if (l1 > max_l1) max_l1 = l1;
+  }
+  int fw = kWeightFracMax;
+  while (fw > 0 &&
+         max_abs * static_cast<double>(std::int64_t{1} << fw) > 32767.0) {
+    --fw;
+  }
+  while (fw > 0 && max_l1 * static_cast<double>(std::int64_t{1} << fw) +
+                           0.5 * static_cast<double>(taps) + 1.0 >
+                       65535.0) {
+    --fw;
+  }
+  // The requantization shift fa+fw-frac_bits must be >= 0 even at the
+  // finest activation grid; weights too large (or a frac_bits too fine)
+  // leave the conv on the float carrier.
+  if (fw > 0 && fw >= frac_bits - kActFracMax && frac_bits < 31) return fw;
+  return -1;
 }
 
-}  // namespace
+int FixedStageExecutor::int16_act_frac_bits(float max_abs,
+                                            int weight_frac_bits,
+                                            int frac_bits) {
+  // ODE stages legitimately push activations past +-8 as the Euler sweep
+  // accumulates, so a fixed fa would clip them.
+  if (!std::isfinite(max_abs)) return -1;
+  int fa = kActFracMax;
+  while (fa > 0 && static_cast<double>(max_abs) *
+                           static_cast<double>(std::int64_t{1} << fa) >
+                       32766.5) {
+    --fa;
+  }
+  // Range beyond int16 even at fa=1, or no valid rounding shift at this
+  // range -> float carrier for this call.
+  if (fa < 1 || fa + weight_frac_bits < frac_bits) return -1;
+  return fa;
+}
 
 FixedStageExecutor::FixedStageExecutor(int frac_bits, FixedConvPath conv_path)
     : name_("fixed_cpu_q" + std::to_string(frac_bits)),
@@ -77,8 +125,9 @@ FixedStageExecutor::QuantizedWeights& FixedStageExecutor::cache_entry(
   return entry;
 }
 
-core::Tensor FixedStageExecutor::fixed_conv(core::Conv2d& conv,
-                                            const core::Tensor& x, float t) {
+void FixedStageExecutor::fixed_conv(core::Conv2d& conv, const core::Tensor& x,
+                                    float t, const core::GemmI16Epilogue& ep,
+                                    core::Tensor& out) {
   const core::Conv2dConfig& cfg = conv.config();
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   ODENET_CHECK(c == cfg.in_channels,
@@ -103,38 +152,8 @@ core::Tensor FixedStageExecutor::fixed_conv(core::Conv2d& conv,
     const core::Tensor& wt = conv.weight().value;
     entry.i16_ok = false;
     if (conv_path_ == FixedConvPath::kBatched) {
-      // Per-conv int16 weight scale fw, chosen so the integer datapath is
-      // HARD overflow-free: (a) no weight saturates — max|w|*2^fw <=
-      // 32767 keeps |w_q| <= 32767, so no int16 product pair can wrap a
-      // madd lane; (b) the accumulator envelope — sum_k |w_q| <= 65535
-      // bounds |acc| <= 65535 * 32768 < 2^31 for ANY int16 activations.
-      // The L1 bound uses the worst row plus the per-tap rounding slack.
-      double max_abs = 0.0, max_l1 = 0.0;
-      for (int r = 0; r < co; ++r) {
-        const float* row = wt.data() + static_cast<std::size_t>(r) * kk;
-        double l1 = 0.0;
-        for (int p = 0; p < kk; ++p) {
-          const double a = std::fabs(static_cast<double>(row[p]));
-          l1 += a;
-          if (a > max_abs) max_abs = a;
-        }
-        if (l1 > max_l1) max_l1 = l1;
-      }
-      int fw = kWeightFracMax;
-      while (fw > 0 &&
-             max_abs * static_cast<double>(std::int64_t{1} << fw) > 32767.0) {
-        --fw;
-      }
-      while (fw > 0 &&
-             max_l1 * static_cast<double>(std::int64_t{1} << fw) +
-                     0.5 * kk + 1.0 >
-                 65535.0) {
-        --fw;
-      }
-      // The requantization shift fa+fw-frac_bits must be >= 0 even at the
-      // finest activation grid; weights too large (or a frac_bits too
-      // fine) fall back to the float carrier.
-      if (fw > 0 && fw >= frac_bits_ - kActFracMax && frac_bits_ < 31) {
+      const int fw = int16_weight_frac_bits(wt, frac_bits_);
+      if (fw > 0) {
         entry.i16_ok = true;
         entry.weight_frac_bits = fw;
         static thread_local std::vector<std::int16_t> wq;
@@ -158,139 +177,174 @@ core::Tensor FixedStageExecutor::fixed_conv(core::Conv2d& conv,
     ++weight_packs_;
   }
 
-  // Time-plane augmentation with the time VALUE on the Q grid (the
-  // hardware folds t into a bias plane at the same precision).
+  // The time VALUE on the Q grid (the hardware folds t into a bias plane
+  // at the same precision).
   const float tq = cfg.time_channel ? fixed::qdq_value(t, frac_bits_) : 0.0f;
+  const std::size_t plane = static_cast<std::size_t>(h) * w;
+  const std::size_t in_sample = static_cast<std::size_t>(c) * plane;
+  const std::size_t aug_sample = static_cast<std::size_t>(ci) * plane;
+  // Dynamic activation scale for this call: the finest Q(fa) grid whose
+  // rounded values cannot saturate int16 for the observed range of the
+  // (time-augmented) input. The scan is exact and order-independent, so
+  // the scale — and everything downstream — is deterministic for any ISA
+  // or worker count.
+  int fa = -1;
+  if (conv_path_ == FixedConvPath::kBatched && entry.i16_ok) {
+    float mx = fixed::max_abs(x.data(), x.numel());
+    if (cfg.time_channel) mx = std::max(mx, std::fabs(tq));
+    fa = int16_act_frac_bits(mx, entry.weight_frac_bits, frac_bits_);
+  }
+  if (fa >= 0) {
+    // Integer path: quantize the input once into an int16 [n, ci, h, w]
+    // image at Q(fa) (time plane included), then one fused GEMM lowers it
+    // implicitly, accumulates into int32 and runs the whole epilogue —
+    // requantization shift, folded BN, Q-grid rounding, ReLU, residual —
+    // in the tile, storing NCHW.
+    i16_scratch_.resize(static_cast<std::size_t>(n) * aug_sample);
+    std::int16_t* inq = i16_scratch_.data();
+    if (cfg.time_channel) {
+      std::int16_t tq16 = 0;
+      fixed::quantize_i16(&tq, &tq16, 1, fa);
+      for (int i = 0; i < n; ++i) {
+        std::int16_t* dst = inq + i * aug_sample;
+        fixed::quantize_i16(x.data() + i * in_sample, dst, in_sample, fa);
+        std::fill_n(dst + in_sample, plane, tq16);
+      }
+    } else {
+      fixed::quantize_i16(x.data(), inq, x.numel(), fa);
+    }
+    core::GemmI16Epilogue iep = ep;
+    iep.round_shift = fa + entry.weight_frac_bits - frac_bits_;
+    iep.frac_bits = frac_bits_;
+    core::gemm_i16_lowered_ep(entry.packed16, inq, g, n, out.data(), iep);
+    return;
+  }
+
+  // Float carrier (kBatchedFloat, kPerSample, and the kBatched fallback
+  // when a conv fails the int16 envelope or a call's range leaves no
+  // valid shift): the float GEMM over the time-augmented input, one
+  // requantization of its output, then the epilogue as passes.
   core::Tensor aug;
   const core::Tensor* in = &x;
   if (cfg.time_channel) {
     aug = core::Tensor({n, ci, h, w});
-    const std::size_t plane = static_cast<std::size_t>(h) * w;
-    const std::size_t in_sample = static_cast<std::size_t>(c) * plane;
-    const std::size_t aug_sample = static_cast<std::size_t>(ci) * plane;
     for (int i = 0; i < n; ++i) {
       std::memcpy(aug.data() + i * aug_sample, x.data() + i * in_sample,
                   in_sample * sizeof(float));
-      float* tplane = aug.data() + i * aug_sample + in_sample;
-      for (std::size_t j = 0; j < plane; ++j) tplane[j] = tq;
+      std::fill_n(aug.data() + i * aug_sample + in_sample, plane, tq);
     }
     in = &aug;
   }
-
-  core::Tensor out({n, co, ho, wo});
+  core::Tensor y({n, co, ho, wo});
   const std::size_t ncols = cc * static_cast<std::size_t>(n);
-  const std::size_t in_elems = static_cast<std::size_t>(n) * ci * h * w;
-  // Dynamic activation scale for this call: the finest Q(fa) grid whose
-  // rounded values cannot saturate int16 for the observed range (ODE
-  // stages legitimately push activations past +-8 as the Euler sweep
-  // accumulates, so a fixed fa would clip them). The scan is exact and
-  // order-independent, so the scale — and everything downstream — is
-  // deterministic for any ISA or worker count.
-  int fa = -1;
-  if (conv_path_ == FixedConvPath::kBatched && entry.i16_ok) {
-    const float mx = fixed::max_abs(in->data(), in_elems);
-    if (std::isfinite(mx)) {
-      fa = kActFracMax;
-      while (fa > 0 &&
-             static_cast<double>(mx) *
-                     static_cast<double>(std::int64_t{1} << fa) >
-                 32766.5) {
-        --fa;
-      }
-      // Range beyond int16 even at fa=1, or no valid rounding shift at
-      // this range -> float carrier for this call.
-      if (fa < 1 || fa + entry.weight_frac_bits < frac_bits_) fa = -1;
-    }
-  }
-  if (fa >= 0) {
-    // Integer path: quantize the (augmented) input once into int16 at
-    // Q(fa), lower the int16 image, run the integer GEMM into int32
-    // accumulators, and requantize via ONE rounding shift straight onto
-    // the Q(frac_bits) grid — no per-element float qdq afterwards (the
-    // shift output is exactly grid-aligned by construction).
-    const std::size_t col_elems = static_cast<std::size_t>(kk) * ncols;
-    i16_scratch_.resize(in_elems + col_elems);
-    std::int16_t* inq = i16_scratch_.data();
-    std::int16_t* cols = i16_scratch_.data() + in_elems;
-    fixed::quantize_i16(in->data(), inq, in_elems, fa);
-    core::im2col_batched_i16(inq, g, n, cols);
-    acc_scratch_.resize(static_cast<std::size_t>(co) * ncols);
-    core::gemm_i16_tiled_pa(entry.packed16, cols, acc_scratch_.data(),
-                            static_cast<int>(ncols), /*accumulate=*/false);
-    const int shift = fa + entry.weight_frac_bits - frac_bits_;
-    if (n == 1) {
-      fixed::requantize_i32(acc_scratch_.data(), out.data(),
-                            acc_scratch_.size(), shift, frac_bits_);
-    } else {
-      core::ScratchArena& arena = conv.lowering_arena();
-      arena.frame(static_cast<std::size_t>(co) * ncols);
-      float* y = arena.alloc(static_cast<std::size_t>(co) * ncols);
-      fixed::requantize_i32(acc_scratch_.data(), y, acc_scratch_.size(),
-                            shift, frac_bits_);
-      core::permute_channel_major(y, out.data(), n, co, cc, /*to_nchw=*/true);
-    }
-    return out;
-  }
   if (conv_path_ != FixedConvPath::kPerSample) {
-    // Float-carrier batched path (kBatchedFloat, and the kBatched
-    // fallback when a conv fails the int16 envelope): whole-batch
-    // lowering + one packed GEMM, scratch from the conv's recycled arena.
+    // Whole-batch lowering + one packed GEMM, scratch from the conv's
+    // recycled arena.
     core::ScratchArena& arena = conv.lowering_arena();
     if (n == 1) {
       arena.frame(static_cast<std::size_t>(kk) * ncols);
       float* cols = arena.alloc(static_cast<std::size_t>(kk) * ncols);
       core::im2col_batched(in->data(), g, n, cols);
-      core::gemm_tiled_pa(entry.packed, cols, out.data(),
+      core::gemm_tiled_pa(entry.packed, cols, y.data(),
                           static_cast<int>(ncols), /*accumulate=*/false);
     } else {
       arena.frame(static_cast<std::size_t>(kk) * ncols +
                   static_cast<std::size_t>(co) * ncols);
       float* cols = arena.alloc(static_cast<std::size_t>(kk) * ncols);
-      float* y = arena.alloc(static_cast<std::size_t>(co) * ncols);
+      float* cm = arena.alloc(static_cast<std::size_t>(co) * ncols);
       core::im2col_batched(in->data(), g, n, cols);
-      core::gemm_tiled_pa(entry.packed, cols, y, static_cast<int>(ncols),
+      core::gemm_tiled_pa(entry.packed, cols, cm, static_cast<int>(ncols),
                           /*accumulate=*/false);
-      core::permute_channel_major(y, out.data(), n, co, cc, /*to_nchw=*/true);
+      core::permute_channel_major(cm, y.data(), n, co, cc, /*to_nchw=*/true);
     }
   } else {
     // Per-sample comparator: fresh scratch, one lowering and one
     // rank-1-update GEMM per sample — the pre-batching fixed path.
     std::vector<float> cols(g.col_rows() * cc);
-    const std::size_t in_sample = static_cast<std::size_t>(ci) * h * w;
     const std::size_t out_sample = static_cast<std::size_t>(co) * ho * wo;
     for (int ni = 0; ni < n; ++ni) {
-      core::im2col(in->data() + ni * in_sample, g, cols.data());
+      core::im2col(in->data() + ni * aug_sample, g, cols.data());
       core::gemm(entry.values.data(), cols.data(),
-                 out.data() + ni * out_sample, co, kk, static_cast<int>(cc),
+                 y.data() + ni * out_sample, co, kk, static_cast<int>(cc),
                  /*accumulate=*/false);
     }
   }
-  // Post-GEMM requantization (float carrier only): the accumulator ran at
-  // full precision, the output map re-enters the Q-grid datapath once per
-  // element.
-  fixed::qdq_inplace(out, frac_bits_);
-  return out;
+  fixed::qdq_inplace(y, frac_bits_);
+  apply_epilogue(y, ep, out);
 }
 
-core::Tensor FixedStageExecutor::run_block(core::BuildingBlock& block,
-                                           const core::Tensor& x, float t,
-                                           bool branch_only) {
-  const core::BlockConfig& cfg = block.config();
-  core::Tensor hmap = fixed_conv(block.conv1(), x, t);
-  hmap = block.bn1().forward(hmap);
-  fixed::qdq_inplace(hmap, frac_bits_);
-  float* data = hmap.data();
-  for (std::size_t i = 0; i < hmap.numel(); ++i) {
-    if (data[i] < 0.0f) data[i] = 0.0f;  // ReLU keeps the Q grid
+void FixedStageExecutor::apply_epilogue(core::Tensor& y,
+                                        const core::GemmI16Epilogue& ep,
+                                        core::Tensor& out) const {
+  // The fused tile's chain after its requantization, as the standalone
+  // kernels it is bitwise equal to: affine, qdq, ReLU, residual, qdq.
+  const core::GemmKernels& kernels = core::active_gemm_kernels();
+  const int n = y.dim(0), c = y.dim(1);
+  const std::size_t plane = static_cast<std::size_t>(y.dim(2)) * y.dim(3);
+  if (ep.scale != nullptr) {
+    for (int i = 0; i < n; ++i) {
+      for (int ch = 0; ch < c; ++ch) {
+        float* p = y.data() + (static_cast<std::size_t>(i) * c + ch) * plane;
+        kernels.affine_f32(p, p, plane, ep.scale[ch], ep.shift[ch]);
+      }
+    }
+    fixed::qdq_inplace(y, frac_bits_);
   }
-  hmap = fixed_conv(block.conv2(), hmap, t);
-  hmap = block.bn2().forward(hmap);
-  fixed::qdq_inplace(hmap, frac_bits_);
-  if (!branch_only) {
-    hmap.add(core::BuildingBlock::shortcut(x, cfg.stride, cfg.out_channels));
-    fixed::qdq_inplace(hmap, frac_bits_);
+  if (ep.relu) kernels.relu_f32(y.data(), y.data(), y.numel());
+  if (ep.residual == nullptr) {
+    if (&out != &y) out = std::move(y);
+    return;
   }
-  return hmap;
+  // out = qdq(residual + beta * y); residual may alias out.
+  if (ep.residual != out.data()) {
+    std::memcpy(out.data(), ep.residual, out.numel() * sizeof(float));
+  }
+  kernels.axpy_f32(ep.beta, y.data(), out.data(), out.numel());
+  fixed::qdq_inplace(out, frac_bits_);
+}
+
+core::Tensor FixedStageExecutor::conv_output(const core::Conv2d& conv,
+                                             const core::Tensor& x) {
+  const core::Conv2dConfig& cfg = conv.config();
+  const int ho = (x.dim(2) + 2 * cfg.pad - cfg.kernel) / cfg.stride + 1;
+  const int wo = (x.dim(3) + 2 * cfg.pad - cfg.kernel) / cfg.stride + 1;
+  return core::Tensor({x.dim(0), cfg.out_channels, ho, wo});
+}
+
+void FixedStageExecutor::conv_bn(core::Conv2d& conv, core::BatchNorm2d& bn,
+                                 const core::Tensor& x, float t,
+                                 core::GemmI16Epilogue ep, core::Tensor& out) {
+  if (!bn.training() && bn.eval_affine_foldable()) {
+    bn.fold_eval_affine(bn_scale_, bn_shift_);
+    ep.scale = bn_scale_.data();
+    ep.shift = bn_shift_.data();
+    fixed_conv(conv, x, t, ep, out);
+    return;
+  }
+  // Batch-statistics BN (training mode, or the hardware per-image BN) is
+  // a function of the whole conv output, so it cannot ride in a tile: the
+  // conv stops at requantization and the BN runs between it and the rest
+  // of the epilogue.
+  core::Tensor y = conv_output(conv, x);
+  fixed_conv(conv, x, t, core::GemmI16Epilogue{}, y);
+  y = bn.forward(y);
+  fixed::qdq_inplace(y, frac_bits_);
+  apply_epilogue(y, ep, out);
+}
+
+void FixedStageExecutor::run_block(core::BuildingBlock& block,
+                                   const core::Tensor& x, float t,
+                                   const float* residual, float beta,
+                                   core::Tensor& out) {
+  core::Tensor hmap = conv_output(block.conv1(), x);
+  core::GemmI16Epilogue ep1;
+  ep1.relu = true;
+  conv_bn(block.conv1(), block.bn1(), x, t, ep1, hmap);
+  core::GemmI16Epilogue ep2;
+  ep2.residual = residual;
+  ep2.beta = beta;
+  if (out.empty()) out = conv_output(block.conv2(), hmap);
+  conv_bn(block.conv2(), block.bn2(), hmap, t, ep2, out);
 }
 
 core::Tensor FixedStageExecutor::run(Stage& stage, const core::Tensor& x,
@@ -298,23 +352,33 @@ core::Tensor FixedStageExecutor::run(Stage& stage, const core::Tensor& x,
   ODENET_CHECK(!stage.is_empty(),
                stage.name() << ": fixed executor on removed stage");
   util::Stopwatch watch;
-  core::Tensor z = qdq(x, frac_bits_);
+  core::Tensor z = x;
+  fixed::qdq_inplace(z, frac_bits_);
   if (stage.is_ode()) {
     // Explicit Euler with the activation quantized after every update —
     // the same step scheme the PL implements (accelerator solve_euler).
+    // conv2's epilogue writes z = qdq(z + h * f(z)) in place.
     OdeBlock* ode = stage.ode();
     const int steps = ode->config().executions;
     const float h = (ode->t1() - ode->t0()) / static_cast<float>(steps);
     float t = ode->t0();
     for (int k = 0; k < steps; ++k) {
-      core::Tensor f = run_block(ode->block(), z, t, /*branch_only=*/true);
-      z.axpy(h, f);
-      fixed::qdq_inplace(z, frac_bits_);
+      run_block(ode->block(), z, t, z.data(), h, z);
       t += h;
     }
   } else {
     for (auto& block : stage.blocks()) {
-      z = run_block(*block, z, /*t=*/0.0f, /*branch_only=*/false);
+      const core::BlockConfig& cfg = block->config();
+      // Option-A shortcut: the input itself when shapes match.
+      core::Tensor sc;
+      const bool identity = cfg.stride == 1 && cfg.out_channels == z.dim(1);
+      if (!identity) {
+        sc = core::BuildingBlock::shortcut(z, cfg.stride, cfg.out_channels);
+      }
+      core::Tensor out;
+      run_block(*block, z, /*t=*/0.0f, identity ? z.data() : sc.data(),
+                /*beta=*/1.0f, out);
+      z = std::move(out);
     }
   }
   if (stats != nullptr) {

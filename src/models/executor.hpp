@@ -12,6 +12,7 @@
 #include <map>
 #include <vector>
 
+#include "core/batchnorm.hpp"
 #include "core/execution.hpp"
 #include "core/gemm_kernels.hpp"
 #include "core/im2col.hpp"
@@ -62,21 +63,26 @@ class FloatStageExecutor final : public StageExecutor {
 };
 
 /// How FixedStageExecutor lowers its convolutions.
-///  * kBatched (default): the INTEGER path — activations quantize once
-///    into int16 at a per-call dynamic precision (the finest grid that
-///    cannot saturate the observed range), the whole micro-batch lowers
-///    into one int16 column matrix, one packed integer GEMM accumulates
-///    into int32, and a single shift-based requantization (round half
-///    away from zero, the Fixed::operator* semantics) lands the output
-///    back on the Q(frac_bits) grid. Per-conv weight scales keep the
-///    int32 accumulators overflow-free; a conv (or a single call) whose
-///    weights or activation range cannot satisfy the envelope at the
-///    requested frac_bits falls back to the float-carrier arithmetic
-///    below, transparently.
-///  * kBatchedFloat: the PR 6 float-carrier comparator — same batched
-///    lowering and packed GEMM but with qdq'd float operands, float
-///    accumulate and a post-GEMM elementwise requantize. Kept for the
-///    int16-vs-float A/B bench rows and parity tests.
+///  * kBatched (default): the fused INTEGER path — each conv input
+///    quantizes once into an int16 [N, C(+time), H, W] image at a per-call
+///    dynamic precision (the finest grid that cannot saturate the
+///    observed range), and one packed int16 GEMM (core::
+///    gemm_i16_lowered_ep) gathers its pair-interleaved B panels straight
+///    from that image, accumulates into int32 and runs the whole
+///    epilogue in the 4x16 tile: one rounding shift (round half away from
+///    zero, the Fixed::operator* semantics) onto the Q(frac_bits) grid,
+///    the folded BN affine, Q-grid rounding, ReLU after conv1, and after
+///    conv2 the Euler update z = qdq(z + h*f) in place or the shortcut
+///    add + qdq — stored NCHW. Bitwise identical to running those ops as
+///    separate passes. Per-conv weight scales keep the int32 accumulators
+///    overflow-free; a conv (or a single call) whose weights or
+///    activation range cannot satisfy the envelope at the requested
+///    frac_bits falls back to the float-carrier arithmetic below,
+///    transparently.
+///  * kBatchedFloat: the float-carrier comparator — batched lowering and
+///    packed GEMM over qdq'd float operands, float accumulate, one
+///    post-GEMM requantize, then the same epilogue as elementwise passes.
+///    Kept for the int16-vs-float A/B bench rows and parity tests.
 ///  * kPerSample: the pre-batching comparator — one lowering and one
 ///    rank-1-update GEMM per sample, float carrier. Kept for parity tests
 ///    and the batched-vs-per-sample benchmark rows.
@@ -84,16 +90,21 @@ enum class FixedConvPath { kBatched, kBatchedFloat, kPerSample };
 
 /// Q-format fixed-point CPU backend: quantizes the weights AND saturates
 /// every stage-internal feature map to Qx.frac_bits, running convolutions
-/// through its own im2col+GEMM lowering. The default kBatched path is a
-/// true INTEGER datapath — int16 operands, int32 accumulate, one rounding
-/// shift back to the Q grid (the behaviour of a DSP-block MAC array with
-/// a wide accumulator followed by a rounding stage); see FixedConvPath
-/// for the float-carrier comparators. Quantized packed weights are cached
-/// per conv — keyed by Conv2d::uid() + snapshot weight version, LRU-capped
-/// — so serving steady-state requantizes + packs each layer once per
-/// hot-swap and replica churn cannot leak entries. ODE stages integrate
-/// with explicit Euler steps, mirroring the hardware solver, regardless
-/// of the stage's configured software solver.
+/// through its own lowering. The default kBatched path is a fused
+/// INTEGER datapath — int16 operands, int32 accumulate, one rounding
+/// shift back to the Q grid with BN/ReLU/Euler folded into the same tile
+/// (the paper's conv engine and BN engine back to back, like a DSP-block
+/// MAC array with a wide accumulator followed by a rounding stage); see
+/// FixedConvPath for the float-carrier comparators. BN folds into the
+/// tile when it normalizes with running statistics; batch-statistics BN
+/// (training mode, or the hardware per-image BN mode) depends on the
+/// whole conv output and runs as its own pass after the conv's
+/// requantization. Quantized packed weights are cached per conv — keyed
+/// by Conv2d::uid() + snapshot weight version, LRU-capped — so serving
+/// steady-state requantizes + packs each layer once per hot-swap and
+/// replica churn cannot leak entries. ODE stages integrate with explicit
+/// Euler steps, mirroring the hardware solver, regardless of the stage's
+/// configured software solver.
 class FixedStageExecutor final : public StageExecutor {
  public:
   explicit FixedStageExecutor(int frac_bits = 20,
@@ -131,16 +142,49 @@ class FixedStageExecutor final : public StageExecutor {
   /// Most fractional bits a conv's int16 weights may carry.
   static constexpr int kWeightFracMax = 13;
 
+  /// The int16 precision fw of a conv's [out, in*k*k] weights at output
+  /// precision frac_bits: the largest fw <= kWeightFracMax that keeps
+  /// every weight and every int32 accumulator overflow-free, or -1 when
+  /// none also leaves a valid requantization shift (float carrier).
+  static int int16_weight_frac_bits(const core::Tensor& w, int frac_bits);
+  /// The per-call activation precision fa for an input whose largest
+  /// magnitude is max_abs: the largest fa <= kActFracMax with max_abs *
+  /// 2^fa saturation-free, or -1 (float carrier for this call) when the
+  /// range is non-finite, exceeds int16 at fa = 1, or leaves fa +
+  /// weight_frac_bits < frac_bits.
+  static int int16_act_frac_bits(float max_abs, int weight_frac_bits,
+                                 int frac_bits);
+
  private:
-  /// One building block in fixed-point arithmetic: conv -> requantize ->
-  /// BN -> requantize -> ReLU -> conv -> requantize -> BN -> requantize,
-  /// plus (unless branch_only) the option-A shortcut and a final
-  /// requantize — each op reading/writing Q-grid activations like the
-  /// staged PL datapath.
-  core::Tensor run_block(core::BuildingBlock& block, const core::Tensor& x,
-                         float t, bool branch_only);
-  /// One convolution through the fixed lowering (see FixedConvPath).
-  core::Tensor fixed_conv(core::Conv2d& conv, const core::Tensor& x, float t);
+  /// One building block in fixed-point arithmetic: conv1 -> requantize ->
+  /// BN -> requantize -> ReLU, then conv2 -> requantize -> BN ->
+  /// requantize and out = qdq(residual + beta * branch) — each op on
+  /// Q-grid activations like the staged PL datapath. An ODE step passes
+  /// residual = z, beta = h and out = z (the in-place Euler update); a
+  /// plain block passes its shortcut with beta = 1 and an empty `out`,
+  /// which is allocated here.
+  void run_block(core::BuildingBlock& block, const core::Tensor& x, float t,
+                 const float* residual, float beta, core::Tensor& out);
+  /// One conv + BN + the rest of `ep` into `out` (pre-shaped): BN folds
+  /// into ep when it is a running-statistics affine, else runs between
+  /// the conv's requantization and the epilogue passes.
+  void conv_bn(core::Conv2d& conv, core::BatchNorm2d& bn,
+               const core::Tensor& x, float t, core::GemmI16Epilogue ep,
+               core::Tensor& out);
+  /// One convolution through the fixed lowering (see FixedConvPath) with
+  /// `ep` applied to its Q(frac_bits) output, into the pre-shaped `out`
+  /// (which ep.residual may alias). ep's round_shift/frac_bits are set
+  /// here.
+  void fixed_conv(core::Conv2d& conv, const core::Tensor& x, float t,
+                  const core::GemmI16Epilogue& ep, core::Tensor& out);
+  /// ep's chain after requantization (affine + qdq when ep.scale, ReLU,
+  /// residual + qdq) as elementwise kernel passes over a Q-grid `y` —
+  /// the float-carrier twin of the fused tile. Writes `out` (may be y).
+  void apply_epilogue(core::Tensor& y, const core::GemmI16Epilogue& ep,
+                      core::Tensor& out) const;
+  /// Zero tensor of a conv's output shape for input x.
+  static core::Tensor conv_output(const core::Conv2d& conv,
+                                  const core::Tensor& x);
 
   struct QuantizedWeights {
     std::uint64_t version = 0;
@@ -167,11 +211,11 @@ class FixedStageExecutor final : public StageExecutor {
   std::size_t wcache_capacity_ = 256;
   std::uint64_t use_tick_ = 0;
   std::uint64_t weight_packs_ = 0;
-  // Recycled integer scratch for the int16 conv path (the float path
-  // draws from the conv's ScratchArena; these are the executor-owned
-  // int16/int32 twins, grown once to the high-water mark).
+  // Recycled int16 input image of the integer conv path (the float path
+  // draws from the conv's ScratchArena), grown once to the high-water
+  // mark, and the current conv's folded BN coefficients.
   std::vector<std::int16_t> i16_scratch_;
-  std::vector<std::int32_t> acc_scratch_;
+  std::vector<float> bn_scale_, bn_shift_;
 };
 
 /// Stage -> executor routing with a default fallback. Executors are not

@@ -1,17 +1,27 @@
 // StageExecutor backends and StagePlan routing (models/executor.hpp,
 // sched/fpga_executor.hpp): backend parity within quantization tolerance,
-// single dispatch loop, per-stage stats.
+// single dispatch loop, per-stage stats; and the fixed backend's fused
+// int16 datapath against the unfused chain of standalone primitives,
+// bitwise, on every architecture, ISA, worker count and fault path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "core/im2col.hpp"
+#include "fixed/fixed_tensor.hpp"
 #include "models/executor.hpp"
 #include "models/network.hpp"
 #include "sched/fpga_executor.hpp"
 #include "sched/latency_model.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace odenet;
 using models::Arch;
@@ -408,5 +418,337 @@ TEST(Executor, WeightCacheCapacityBoundsChurn) {
     net.set_weight_version(1);
     (void)net.forward_with(x, plan);
     EXPECT_LE(fixed.weight_cache_size(), std::size_t{3}) << "round " << round;
+  }
+}
+
+// ---- The fused int16 datapath against the unfused chain -----------------
+
+namespace {
+
+/// The fixed backend's unfused datapath, rebuilt from the standalone
+/// primitives: every conv quantizes its time-augmented input with
+/// quantize_i16, lowers it with im2col_batched_i16, multiplies with
+/// gemm_i16_tiled_pa, requantizes with requantize_i32 and permutes to
+/// NCHW (or, when no valid shift exists, runs the float carrier); then
+/// BN, qdq, ReLU, the second conv, BN, qdq and the Euler axpy or shortcut
+/// add with a final qdq each run as their own pass. It picks scales with
+/// the executor's published rules, so FixedStageExecutor must match it
+/// bitwise. Records which path every conv call took, per stage.
+class UnfusedFixedReference final : public models::StageExecutor {
+ public:
+  explicit UnfusedFixedReference(int frac_bits, bool float_only = false)
+      : frac_(frac_bits), float_only_(float_only) {}
+
+  const std::string& name() const override { return name_; }
+  core::ExecBackend backend() const override {
+    return core::ExecBackend::kFixed;
+  }
+
+  core::Tensor run(models::Stage& stage, const core::Tensor& x,
+                   core::StageRunStats* /*stats*/) override {
+    stage_ = stage.spec().id;
+    core::Tensor z = fixed::dequantize(fixed::quantize(x, frac_));
+    if (stage.is_ode()) {
+      models::OdeBlock* ode = stage.ode();
+      const int steps = ode->config().executions;
+      const float h = (ode->t1() - ode->t0()) / static_cast<float>(steps);
+      float t = ode->t0();
+      for (int k = 0; k < steps; ++k) {
+        core::Tensor f = block(ode->block(), z, t, /*branch_only=*/true);
+        z.axpy(h, f);
+        fixed::qdq_inplace(z, frac_);
+        t += h;
+      }
+    } else {
+      for (auto& b : stage.blocks()) z = block(*b, z, 0.0f, false);
+    }
+    return z;
+  }
+
+  /// (stage, took the int16 path) for every conv call so far.
+  std::vector<std::pair<StageId, bool>> calls;
+
+ private:
+  core::Tensor conv(core::Conv2d& conv, const core::Tensor& x, float t) {
+    const core::Conv2dConfig& cfg = conv.config();
+    const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+    const int ci = c + (cfg.time_channel ? 1 : 0);
+    const core::LoweringGeometry g{.channels = ci, .height = h, .width = w,
+                                   .kernel = cfg.kernel,
+                                   .stride = cfg.stride, .pad = cfg.pad};
+    core::Tensor in = x;
+    if (cfg.time_channel) {
+      const float tq = fixed::qdq_value(t, frac_);
+      in = core::Tensor({n, ci, h, w});
+      const std::size_t plane = static_cast<std::size_t>(h) * w;
+      for (int i = 0; i < n; ++i) {
+        std::copy_n(x.data() + i * c * plane, c * plane,
+                    in.data() + i * ci * plane);
+        std::fill_n(in.data() + (i * ci + c) * plane, plane, tq);
+      }
+    }
+    const core::Tensor& wt = conv.weight().value;
+    const int co = cfg.out_channels;
+    const int kk = static_cast<int>(g.col_rows());
+    const std::size_t cc = g.col_cols();
+    const std::size_t ncols = cc * n;
+    core::Tensor out({n, co, g.out_h(), g.out_w()});
+    std::vector<float> cm(static_cast<std::size_t>(co) * ncols);
+    const int fw = float_only_ ? -1
+                   : models::FixedStageExecutor::int16_weight_frac_bits(
+                         wt, frac_);
+    const int fa =
+        fw > 0 ? models::FixedStageExecutor::int16_act_frac_bits(
+                     fixed::max_abs(in.data(), in.numel()), fw, frac_)
+               : -1;
+    calls.emplace_back(stage_, fa >= 0);
+    if (fa >= 0) {
+      std::vector<std::int16_t> wq(wt.numel()), inq(in.numel());
+      fixed::quantize_i16(wt.data(), wq.data(), wq.size(), fw);
+      core::PackedGemmA16 pa;
+      core::pack_gemm_a_i16(wq.data(), co, kk, pa);
+      fixed::quantize_i16(in.data(), inq.data(), inq.size(), fa);
+      std::vector<std::int16_t> cols(static_cast<std::size_t>(kk) * ncols);
+      core::im2col_batched_i16(inq.data(), g, n, cols.data());
+      std::vector<std::int32_t> acc(cm.size());
+      core::gemm_i16_tiled_pa(pa, cols.data(), acc.data(),
+                              static_cast<int>(ncols), false);
+      fixed::requantize_i32(acc.data(), cm.data(), acc.size(),
+                            fa + fw - frac_, frac_);
+      core::permute_channel_major(cm.data(), out.data(), n, co, cc, true);
+      return out;
+    }
+    std::vector<float> wv(wt.numel());
+    for (std::size_t i = 0; i < wv.size(); ++i) {
+      wv[i] = fixed::qdq_value(wt.data()[i], frac_);
+    }
+    core::PackedGemmA pa;
+    core::pack_gemm_a(wv.data(), co, kk, pa);
+    std::vector<float> cols(static_cast<std::size_t>(kk) * ncols);
+    core::im2col_batched(in.data(), g, n, cols.data());
+    core::gemm_tiled_pa(pa, cols.data(), cm.data(), static_cast<int>(ncols),
+                        false);
+    core::permute_channel_major(cm.data(), out.data(), n, co, cc, true);
+    fixed::qdq_inplace(out, frac_);
+    return out;
+  }
+
+  core::Tensor block(core::BuildingBlock& b, const core::Tensor& x, float t,
+                     bool branch_only) {
+    core::Tensor hmap = conv(b.conv1(), x, t);
+    hmap = b.bn1().forward(hmap);
+    fixed::qdq_inplace(hmap, frac_);
+    for (std::size_t i = 0; i < hmap.numel(); ++i) {
+      if (hmap.data()[i] < 0.0f) hmap.data()[i] = 0.0f;
+    }
+    hmap = conv(b.conv2(), hmap, t);
+    hmap = b.bn2().forward(hmap);
+    fixed::qdq_inplace(hmap, frac_);
+    if (!branch_only) {
+      hmap.add(core::BuildingBlock::shortcut(x, b.config().stride,
+                                             b.config().out_channels));
+      fixed::qdq_inplace(hmap, frac_);
+    }
+    return hmap;
+  }
+
+  std::string name_ = "unfused_fixed_reference";
+  int frac_;
+  bool float_only_;
+  StageId stage_{};
+};
+
+/// RAII kernel-pool + parallel-threshold + ISA override.
+struct KernelOverride {
+  KernelOverride(util::ThreadPool* pool, bool scalar) {
+    core::set_kernel_pool(pool);
+    core::gemm_set_parallel_min_flops(1);
+    core::gemm_force_scalar(scalar);
+  }
+  ~KernelOverride() {
+    core::set_kernel_pool(nullptr);
+    core::gemm_set_parallel_min_flops(0);
+    core::gemm_force_scalar(false);
+  }
+};
+
+void expect_bitwise(const core::Tensor& got, const core::Tensor& want) {
+  ASSERT_TRUE(got.same_shape(want));
+  EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                           want.numel() * sizeof(float)));
+}
+
+/// Fixed-backend logits vs the unfused reference's, memcmp.
+void expect_fixed_matches_reference(models::Network& net,
+                                    const core::Tensor& x,
+                                    UnfusedFixedReference* ref = nullptr) {
+  models::FixedStageExecutor fixed(20);
+  UnfusedFixedReference local(20);
+  if (ref == nullptr) ref = &local;
+  models::StagePlan fixed_plan(&fixed);
+  models::StagePlan ref_plan(ref);
+  expect_bitwise(net.forward_with(x, fixed_plan),
+                 net.forward_with(x, ref_plan));
+}
+
+}  // namespace
+
+TEST(Executor, FusedFixedForwardMatchesUnfusedChainOnAllArchitectures) {
+  util::Rng rng(51);
+  for (Arch arch : models::all_archs()) {
+    SCOPED_TRACE(models::arch_name(arch));
+    models::Network net(models::make_spec(arch, 20, tiny_width()));
+    net.init(rng);
+    net.set_training(false);
+    UnfusedFixedReference ref(20);
+    expect_fixed_matches_reference(net, random_input(3, rng), &ref);
+    // The comparison is meaningful only if the integer path ran.
+    EXPECT_TRUE(std::any_of(ref.calls.begin(), ref.calls.end(),
+                            [](const auto& c) { return c.second; }));
+  }
+  // And the paper's geometry: rODENet-3-56 on 32x32 inputs, with BN
+  // running statistics calibrated on data (as a trained network's are) so
+  // the ODE stage's activations stay in the int16 path's range.
+  models::Network paper(models::make_spec(Arch::kROdeNet3, 56));
+  paper.init(rng);
+  auto images = [&rng](int n) {
+    core::Tensor x({n, 3, 32, 32});
+    for (std::size_t i = 0; i < x.numel(); ++i) {
+      x.data()[i] = static_cast<float>(rng.normal(0.0, 1.0));
+    }
+    return x;
+  };
+  paper.set_training(true);
+  for (int b = 0; b < 3; ++b) (void)paper.forward(images(8));
+  paper.set_training(false);
+  UnfusedFixedReference ref(20);
+  expect_fixed_matches_reference(paper, images(2), &ref);
+  EXPECT_TRUE(std::any_of(ref.calls.begin(), ref.calls.end(),
+                          [](const auto& c) {
+                            return c.first == StageId::kLayer3_2 && c.second;
+                          }));
+}
+
+TEST(Executor, FusedFixedForwardIsIsaThreadAndBatchInvariant) {
+  // n in {1, 3, 16}; scalar and AVX2 kernels; 1, 2 and 4 workers with
+  // every GEMM forced onto the split path. A 12x12 input gives 36- and
+  // 9-pixel planes, so output tiles straddle samples.
+  util::Rng rng(52);
+  models::Network net(models::make_spec(Arch::kROdeNet3, 20, tiny_width()));
+  net.init(rng);
+  net.set_training(false);
+  for (int n : {1, 3, 16}) {
+    const core::Tensor x = random_input(n, rng);
+    for (bool scalar : {false, true}) {
+      if (!scalar && !core::gemm_avx2_usable()) continue;
+      for (std::size_t workers : {1u, 2u, 4u}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + (scalar ? " scalar" : " avx2") +
+                     " workers=" + std::to_string(workers));
+        util::ThreadPool pool(workers);
+        KernelOverride ov(&pool, scalar);
+        expect_fixed_matches_reference(net, x);
+      }
+    }
+  }
+  models::WidthConfig odd = tiny_width();
+  odd.input_size = 12;
+  models::Network odd_net(models::make_spec(Arch::kROdeNet3, 20, odd));
+  odd_net.init(rng);
+  odd_net.set_training(false);
+  core::Tensor x({3, 3, 12, 12});
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    x.data()[i] = static_cast<float>(rng.normal(0.0, 0.5));
+  }
+  expect_fixed_matches_reference(odd_net, x);
+}
+
+TEST(Executor, FixedFloatCarrierAndBatchStatsBnMatchUnfusedChain) {
+  // The epilogue passes behind the float carrier (kBatchedFloat runs
+  // every conv there) and the batch-statistics BN mode (BN between the
+  // conv's requantization and the rest of the epilogue) keep the unfused
+  // numerics too.
+  util::Rng rng(53);
+  models::Network net(models::make_spec(Arch::kROdeNet3, 20, tiny_width()));
+  net.init(rng);
+  net.set_training(false);
+  const core::Tensor x = random_input(3, rng);
+  {
+    models::FixedStageExecutor carrier(20,
+                                       models::FixedConvPath::kBatchedFloat);
+    UnfusedFixedReference ref(20, /*float_only=*/true);
+    models::StagePlan carrier_plan(&carrier);
+    models::StagePlan ref_plan(&ref);
+    expect_bitwise(net.forward_with(x, carrier_plan),
+                   net.forward_with(x, ref_plan));
+  }
+  models::OdeBlock* ode = net.stage(StageId::kLayer3_2)->ode();
+  ode->block().bn1().set_use_batch_stats_in_eval(true);
+  ode->block().bn2().set_use_batch_stats_in_eval(true);
+  expect_fixed_matches_reference(net, x);
+}
+
+TEST(Executor, FixedFallbackMidOdeStageMatchesUnfusedChain) {
+  // A large bn2 shift makes every Euler step add ~h*1000 to z, so the
+  // first steps run the int16 path and, once max|z| leaves no valid
+  // requantization shift (fa + fw < frac_bits), later calls of the SAME
+  // stage fall back to the float carrier.
+  util::Rng rng(54);
+  models::Network net(models::make_spec(Arch::kROdeNet3, 20, tiny_width()));
+  net.init(rng);
+  net.set_training(false);
+  core::BatchNorm2d& bn2 = net.stage(StageId::kLayer3_2)->ode()->block().bn2();
+  for (int c = 0; c < bn2.channels(); ++c) bn2.beta().value.at1(c) = 1000.0f;
+  UnfusedFixedReference ref(20);
+  expect_fixed_matches_reference(net, random_input(3, rng), &ref);
+  std::vector<bool> ode_paths;
+  for (const auto& [stage, int_path] : ref.calls) {
+    if (stage == StageId::kLayer3_2) ode_paths.push_back(int_path);
+  }
+  ASSERT_FALSE(ode_paths.empty());
+  EXPECT_TRUE(ode_paths.front()) << "first Euler step should run int16";
+  EXPECT_TRUE(std::find(ode_paths.begin(), ode_paths.end(), false) !=
+              ode_paths.end())
+      << "no call fell back to the float carrier";
+}
+
+TEST(Executor, FixedNonFiniteAndSaturatingImagesMatchUnfusedChain) {
+  util::Rng rng(55);
+  models::Network net(models::make_spec(Arch::kROdeNet3, 20, tiny_width()));
+  net.init(rng);
+  net.set_training(false);
+  const float inf = std::numeric_limits<float>::infinity();
+
+  // NaN / +-Inf pixels.
+  core::Tensor specials = random_input(3, rng);
+  specials.data()[5] = std::numeric_limits<float>::quiet_NaN();
+  specials.data()[300] = inf;
+  specials.data()[1000] = -inf;
+  specials.data()[1700] = std::numeric_limits<float>::quiet_NaN();
+  expect_fixed_matches_reference(net, specials);
+
+  // Saturating images: activations clamp at the Q11.20 rails.
+  core::Tensor huge = random_input(3, rng);
+  for (std::size_t i = 0; i < huge.numel(); ++i) huge.data()[i] *= 1e5f;
+  expect_fixed_matches_reference(net, huge);
+
+  // A stage input whose largest magnitude lands exactly on the int16
+  // rail: 65533 * 2^-11 * 2^10 = 32766.5 picks fa = 10 and rounds half
+  // away from zero to +-32767.
+  const float rail = 65533.0f / 2048.0f;
+  for (StageId id : {StageId::kLayer1, StageId::kLayer3_2}) {
+    SCOPED_TRACE(models::stage_name(id));
+    models::Stage& stage = *net.stage(id);
+    const auto& spec = stage.spec();
+    core::Tensor x({2, spec.in_channels, spec.in_size, spec.in_size});
+    for (std::size_t i = 0; i < x.numel(); ++i) {
+      x.data()[i] = static_cast<float>(rng.normal(0.0, 2.0));
+    }
+    x.data()[7] = rail;
+    x.data()[x.numel() - 3] = -rail;
+    models::FixedStageExecutor fixed(20);
+    UnfusedFixedReference ref(20);
+    expect_bitwise(fixed.run(stage, x, nullptr), ref.run(stage, x, nullptr));
+    ASSERT_FALSE(ref.calls.empty());
+    EXPECT_TRUE(ref.calls.front().second) << "rail input should run int16";
   }
 }

@@ -5,8 +5,12 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <string>
+#include <vector>
 
+#include "core/gemm_kernels.hpp"
 #include "fixed/fixed_math.hpp"
 #include "fixed/fixed_tensor.hpp"
 #include "fixed/qformat.hpp"
@@ -291,4 +295,42 @@ TEST(FixedTensor, RequantizeI32RoundsHalfAwayFromZero) {
   requantize_i32(acc, dst, 8, 0, 4);
   EXPECT_EQ(dst[0], 24.0f / 16.0f);
   EXPECT_EQ(dst[7], 40.0f / 16.0f);
+}
+
+TEST(FixedTensor, QdqKernelIsBitwiseQdqValue) {
+  // The fixed executor's stage entry snaps its input to the Q grid with
+  // the dispatched qdq_f32 kernel (through qdq_inplace) instead of a
+  // quantize/dequantize round trip; both ISAs must equal qdq_value bit
+  // for bit on normal values, NaN, +-Inf, the rails and just past them.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  ou::Rng rng(61);
+  for (int frac : {8, 16, 20, 30}) {
+    SCOPED_TRACE("frac=" + std::to_string(frac));
+    const float rail = std::ldexp(1.0f, 31 - frac);  // 2^31 * 2^-frac
+    std::vector<float> src = {0.0f,         -0.0f,       nan,
+                              -nan,         inf,         -inf,
+                              rail,         -rail,       rail * 0.999f,
+                              -rail * 0.999f, rail * 4.0f, -rail * 4.0f,
+                              1e38f,        -1e38f,      1e-30f,
+                              std::ldexp(1.5f, -frac),   // exact midpoint
+                              std::ldexp(-2.5f, -frac)};
+    for (int i = 0; i < 301; ++i) {  // odd count: SIMD tail covered
+      src.push_back(static_cast<float>(rng.normal(0.0, 8.0)));
+    }
+    std::vector<float> want(src.size());
+    for (std::size_t i = 0; i < src.size(); ++i) {
+      want[i] = qdq_value(src[i], frac);
+    }
+    for (bool scalar : {false, true}) {
+      odenet::core::gemm_force_scalar(scalar);
+      std::vector<float> got = src;
+      odenet::core::active_gemm_kernels().qdq_f32(got.data(), got.size(),
+                                                  frac);
+      odenet::core::gemm_force_scalar(false);
+      EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                               want.size() * sizeof(float)))
+          << (scalar ? "scalar" : "dispatched");
+    }
+  }
 }

@@ -11,16 +11,25 @@
 //    while the true sum fits int32;
 //  * the SIMD quantize kernels (qdq_f32, quant_f32_i16) against the
 //    scalar fallback bitwise, and against Fixed's round-half-away
-//    semantics including NaN/inf/-0.0 specials.
+//    semantics including NaN/inf/-0.0 specials;
+//  * the fused int16 conv (gemm_i16_lowered_ep: implicit lowering plus
+//    the requant -> BN -> qdq -> ReLU -> Euler/shortcut tile epilogue)
+//    against the unfused chain of standalone primitives, bitwise, across
+//    geometries, epilogues, ISAs and worker counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "core/batchnorm.hpp"
 #include "core/gemm_kernels.hpp"
+#include "core/im2col.hpp"
+#include "core/tensor.hpp"
 #include "fixed/fixed_tensor.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -396,4 +405,233 @@ TEST(GemmInt16, MaxAbsKernelIsIsaBitwiseAndExact) {
   big[70001] = std::numeric_limits<float>::infinity();
   EXPECT_EQ(of::max_abs(big.data(), big.size()),
             std::numeric_limits<float>::infinity());
+}
+
+// ---- The fused int16 conv datapath (gemm_i16_lowered_ep) ---------------
+//
+// Oracle: the unfused chain built from the standalone primitives —
+// im2col_batched_i16 -> gemm_i16_tiled_pa -> requantize_i32 ->
+// permute_channel_major -> BatchNorm2d::forward -> qdq_inplace -> ReLU ->
+// axpy/add -> qdq_inplace. The fused driver must match it with memcmp
+// on every geometry, epilogue, ISA and worker count.
+
+namespace {
+
+struct ConvCase {
+  int n, c, h, w, kernel, stride, pad, m;
+  bool time;  // last input channel is a constant time plane
+  std::string str() const {
+    return "n=" + std::to_string(n) + " c=" + std::to_string(c) +
+           (time ? "+t" : "") + " " + std::to_string(h) + "x" +
+           std::to_string(w) + " k=" + std::to_string(kernel) +
+           " s=" + std::to_string(stride) + " m=" + std::to_string(m);
+  }
+};
+
+/// Stride 1 and 2, with and without a time channel, odd k (C*9 odd),
+/// n in {1, 3, 16}, planes that are not a multiple of 16 (6x6 out), a
+/// ragged row tile (m % 4 != 0), a plane wider than one micro-tile
+/// (32x32) and a 1x1 kernel.
+const ConvCase kConvCases[] = {
+    {1, 5, 8, 8, 3, 1, 1, 8, false},   {3, 4, 8, 8, 3, 1, 1, 16, true},
+    {16, 8, 8, 8, 3, 1, 1, 16, true},  {3, 4, 16, 16, 3, 2, 1, 8, false},
+    {3, 3, 12, 12, 3, 2, 1, 6, true},  {3, 3, 6, 6, 3, 1, 1, 5, false},
+    {1, 3, 32, 32, 3, 1, 1, 4, true},  {16, 4, 4, 4, 3, 1, 1, 8, true},
+    {3, 7, 4, 4, 1, 1, 0, 4, false},
+};
+
+enum class EpMode { kRequantOnly, kConv1, kEuler, kShortcut };
+
+struct ConvFixture {
+  LoweringGeometry g;
+  std::vector<std::int16_t> image;  // [n, c(+t), h, w]
+  PackedGemmA16 pa;
+  odenet::core::BatchNorm2d bn;
+  std::vector<float> residual;      // NCHW output shape
+  std::size_t out_elems = 0;
+
+  ConvFixture(const ConvCase& cc, ou::Rng& rng) : bn(cc.m, "bn_fixture") {
+    const int ci = cc.c + (cc.time ? 1 : 0);
+    g = {.channels = ci, .height = cc.h, .width = cc.w, .kernel = cc.kernel,
+         .stride = cc.stride, .pad = cc.pad};
+    const std::size_t plane = static_cast<std::size_t>(cc.h) * cc.w;
+    image = random_i16(cc.n * ci, static_cast<int>(plane), 9000, rng);
+    if (cc.time) {
+      for (int i = 0; i < cc.n; ++i) {
+        std::int16_t* tp =
+            image.data() + (static_cast<std::size_t>(i) * ci + cc.c) * plane;
+        std::fill_n(tp, plane, static_cast<std::int16_t>(1234));
+      }
+    }
+    const int kk = static_cast<int>(g.col_rows());
+    const auto w = random_i16(cc.m, kk, 600, rng);
+    pack_gemm_a_i16(w.data(), cc.m, kk, pa);
+    for (int ch = 0; ch < cc.m; ++ch) {
+      bn.gamma().value.at1(ch) = static_cast<float>(rng.normal(1.0, 0.3));
+      bn.beta().value.at1(ch) = static_cast<float>(rng.normal(0.0, 0.5));
+      bn.running_mean().at1(ch) = static_cast<float>(rng.normal(0.0, 0.5));
+      bn.running_var().at1(ch) =
+          static_cast<float>(0.5 + std::fabs(rng.normal(0.0, 1.0)));
+    }
+    out_elems = static_cast<std::size_t>(cc.n) * cc.m * g.col_cols();
+    residual.resize(out_elems);
+    for (auto& v : residual) v = static_cast<float>(rng.normal(0.0, 2.0));
+  }
+};
+
+/// The unfused chain, op for op as the fixed executor used to run it.
+std::vector<float> unfused_conv(ConvFixture& f, const ConvCase& cc,
+                                EpMode mode, int shift, int frac,
+                                float beta) {
+  const std::size_t kk = f.g.col_rows(), ccols = f.g.col_cols();
+  const std::size_t ncols = ccols * cc.n;
+  std::vector<std::int16_t> cols(kk * ncols);
+  im2col_batched_i16(f.image.data(), f.g, cc.n, cols.data());
+  std::vector<std::int32_t> acc(static_cast<std::size_t>(cc.m) * ncols);
+  gemm_i16_tiled_pa(f.pa, cols.data(), acc.data(), static_cast<int>(ncols),
+                    false);
+  std::vector<float> cm(acc.size());
+  of::requantize_i32(acc.data(), cm.data(), acc.size(), shift, frac);
+  Tensor y({cc.n, cc.m, f.g.out_h(), f.g.out_w()});
+  permute_channel_major(cm.data(), y.data(), cc.n, cc.m, ccols, true);
+  if (mode != EpMode::kRequantOnly) {
+    y = f.bn.forward(y);
+    of::qdq_inplace(y, frac);
+  }
+  if (mode == EpMode::kConv1) {
+    for (std::size_t i = 0; i < y.numel(); ++i) {
+      if (y.data()[i] < 0.0f) y.data()[i] = 0.0f;
+    }
+  } else if (mode == EpMode::kEuler) {
+    Tensor z(y.shape());
+    std::copy(f.residual.begin(), f.residual.end(), z.data());
+    z.axpy(beta, y);
+    of::qdq_inplace(z, frac);
+    y = z;
+  } else if (mode == EpMode::kShortcut) {
+    Tensor sc(y.shape());
+    std::copy(f.residual.begin(), f.residual.end(), sc.data());
+    y.add(sc);
+    of::qdq_inplace(y, frac);
+  }
+  return std::vector<float>(y.data(), y.data() + y.numel());
+}
+
+std::vector<float> fused_conv(ConvFixture& f, const ConvCase& cc, EpMode mode,
+                              int shift, int frac, float beta) {
+  std::vector<float> scale, bias;
+  f.bn.fold_eval_affine(scale, bias);
+  GemmI16Epilogue ep;
+  ep.round_shift = shift;
+  ep.frac_bits = frac;
+  if (mode != EpMode::kRequantOnly) {
+    ep.scale = scale.data();
+    ep.shift = bias.data();
+  }
+  ep.relu = mode == EpMode::kConv1;
+  std::vector<float> out(f.out_elems, -7.0f);
+  if (mode == EpMode::kEuler) {
+    out = f.residual;  // z = qdq(z + h*t), written in place
+    ep.residual = out.data();
+    ep.beta = beta;
+  } else if (mode == EpMode::kShortcut) {
+    ep.residual = f.residual.data();
+  }
+  gemm_i16_lowered_ep(f.pa, f.image.data(), f.g, cc.n, out.data(), ep);
+  return out;
+}
+
+}  // namespace
+
+TEST(GemmInt16, FusedLoweredEpilogueMatchesUnfusedChainBitwise) {
+  ou::Rng rng(41);
+  const bool avx2 = gemm_avx2_usable();
+  for (const ConvCase& cc : kConvCases) {
+    SCOPED_TRACE(cc.str());
+    ConvFixture f(cc, rng);
+    // (round_shift, frac_bits): a pass-through shift; a typical one; and a
+    // BN scale large enough that qdq saturates at the Q11.20 rails.
+    for (const auto& [shift, frac, gain] :
+         {std::tuple{0, 20, 1.0f}, std::tuple{10, 12, 1.0f},
+          std::tuple{4, 20, 3000.0f}}) {
+      for (int ch = 0; ch < cc.m; ++ch) f.bn.gamma().value.at1(ch) *= gain;
+      for (EpMode mode : {EpMode::kRequantOnly, EpMode::kConv1, EpMode::kEuler,
+                          EpMode::kShortcut}) {
+        SCOPED_TRACE("shift=" + std::to_string(shift) + " frac=" +
+                     std::to_string(frac) + " mode=" +
+                     std::to_string(static_cast<int>(mode)));
+        const float beta = mode == EpMode::kEuler ? 0.125f : 1.0f;
+        const auto want = unfused_conv(f, cc, mode, shift, frac, beta);
+        for (bool scalar : {false, true}) {
+          if (!scalar && !avx2) continue;
+          ForceScalar forced(scalar);
+          for (std::size_t workers : {1u, 2u, 4u}) {
+            ou::ThreadPool pool(workers);
+            PoolOverride ov(&pool, 1);
+            const auto got = fused_conv(f, cc, mode, shift, frac, beta);
+            ASSERT_EQ(got.size(), want.size());
+            EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                     want.size() * sizeof(float)))
+                << (scalar ? "scalar" : "avx2") << " workers=" << workers;
+          }
+        }
+      }
+      for (int ch = 0; ch < cc.m; ++ch) f.bn.gamma().value.at1(ch) /= gain;
+    }
+  }
+}
+
+TEST(GemmInt16, FusedEpilogueTileIsIsaBitwiseOnRailAccumulators) {
+  // Accumulators at the int32 rails through every epilogue stage: the
+  // AVX2 tile (integer-domain requant, float-domain Q-grid rounding) and
+  // the scalar tile (int64 and double domains) agree bitwise.
+  if (!gemm_avx2_usable()) {
+    GTEST_SKIP() << "AVX2+FMA kernels not usable on this host";
+  }
+  const int kp = 1;
+  std::vector<std::int16_t> apanel(kp * kGemmTileRows * 2);
+  std::vector<std::int16_t> bpanel(kp * kGemmTileCols * 2);
+  const std::int16_t rails[] = {32767, -32768, -32767, 1, 0, -1, 12345};
+  for (std::size_t i = 0; i < apanel.size(); ++i) apanel[i] = rails[i % 7];
+  for (std::size_t i = 0; i < bpanel.size(); ++i) {
+    bpanel[i] = rails[(i + 3) % 7];
+  }
+  const float scale4[kGemmTileRows] = {1.0f, -0.75f, 1e-3f, 2048.0f};
+  const float shift4[kGemmTileRows] = {0.0f, 0.5f, -3.25f, 1.0f};
+  // Residuals include the specials the Q-grid rounding must handle: NaN,
+  // +-inf, magnitudes that overflow float once scaled by 2^frac, exact
+  // half-step midpoints and values just inside the rails.
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> residual(kGemmTileRows * kGemmTileCols);
+  for (std::size_t i = 0; i < residual.size(); ++i) {
+    residual[i] = static_cast<float>(i) * 37.5f - 1000.0f;
+  }
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            inf, -inf, 1e38f, -1e38f, 2047.9999f,
+                            -2048.0f, 0.5f / 4096.0f, -1.5f / 4096.0f,
+                            0.49999997f / 4096.0f, -0.0f, 16777217.0f};
+  for (std::size_t i = 0; i < std::size(specials); ++i) {
+    residual[i * 5 % residual.size()] = specials[i];
+  }
+  for (int frac : {12, 20, 30}) {
+    for (int shift : {0, 7, 20}) {
+      for (bool relu : {false, true}) {
+        std::vector<float> vec(residual.size()), sca(residual.size());
+        active_gemm_kernels().tile4x16_i16_ep(
+            apanel.data(), bpanel.data(), kp, vec.data(), kGemmTileCols,
+            scale4, shift4, residual.data(), kGemmTileCols, shift, frac,
+            relu, 0.5f);
+        {
+          ForceScalar forced(true);
+          active_gemm_kernels().tile4x16_i16_ep(
+              apanel.data(), bpanel.data(), kp, sca.data(), kGemmTileCols,
+              scale4, shift4, residual.data(), kGemmTileCols, shift, frac,
+              relu, 0.5f);
+        }
+        EXPECT_EQ(0, std::memcmp(vec.data(), sca.data(),
+                                 vec.size() * sizeof(float)))
+            << "frac=" << frac << " shift=" << shift << " relu=" << relu;
+      }
+    }
+  }
 }

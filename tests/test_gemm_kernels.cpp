@@ -11,6 +11,7 @@
 //    unversioned weights).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -337,4 +338,46 @@ TEST(GemmKernels, PackedCacheStillCorrectAfterRepack) {
                                     after.data()[i]));
   }
   EXPECT_GT(diff, 0.0) << "version-0 cache served stale weights";
+}
+
+TEST(GemmKernels, LinearForwardOnSplitPoolMatchesReference) {
+  // Regression: gemm_tiled_pb packed A into a thread-local buffer and then
+  // fanned its row tiles out to pool workers, each of which read its OWN
+  // (empty) copy. A 64 -> 10 head at batch 1024 crosses the parallel
+  // threshold; on an explicit 4-worker pool with every GEMM forced onto
+  // the split path it must match a double-accumulation reference.
+  ou::Rng rng(13);
+  const int batch = 1024, in = 64, out = 10;
+  Linear fc(in, out);
+  for (std::size_t i = 0; i < fc.weight().value.numel(); ++i) {
+    fc.weight().value.data()[i] = static_cast<float>(rng.normal(0.0, 0.2));
+  }
+  for (int o = 0; o < out; ++o) {
+    fc.bias().value.data()[o] = static_cast<float>(rng.normal(0.0, 0.1));
+  }
+  Tensor x({batch, in});
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    x.data()[i] = static_cast<float>(rng.normal(0.0, 1.0));
+  }
+  ou::ThreadPool pool(4);
+  set_kernel_pool(&pool);
+  gemm_set_parallel_min_flops(1);
+  const Tensor y = fc.forward(x);
+  set_kernel_pool(nullptr);
+  gemm_set_parallel_min_flops(0);
+
+  ASSERT_EQ(y.dim(0), batch);
+  ASSERT_EQ(y.dim(1), out);
+  double worst = 0.0;
+  for (int b = 0; b < batch; ++b) {
+    for (int o = 0; o < out; ++o) {
+      double want = fc.bias().value.data()[o];
+      for (int i = 0; i < in; ++i) {
+        want += static_cast<double>(x.data()[b * in + i]) *
+                fc.weight().value.data()[o * in + i];
+      }
+      worst = std::max(worst, std::fabs(want - y.data()[b * out + o]));
+    }
+  }
+  EXPECT_LT(worst, 1e-4);
 }
