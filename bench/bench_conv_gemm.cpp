@@ -1,16 +1,16 @@
-// Batched im2col+GEMM conv fast path vs the per-sample baseline.
+// Batched conv path (the tiled GEMM driver) vs the direct kernel.
 //
 // The shape under test is the paper's ODEBlock convolution (layer3_2:
 // 64 -> 64 channels over 8x8 with the concat-time plane; Table 2), the
 // conv the PL accelerates in hardware and the hot path of the software
-// fallback. For each micro-batch size the three software algorithms run
+// fallback. For each micro-batch size the two software algorithms run
 // the same work:
-//   * per_sample — the pre-batching path: one freshly allocated column
-//     buffer + one small GEMM per sample (ConvAlgo::kIm2colPerSample).
-//   * batched    — whole-batch im2col into one column matrix + ONE
-//     register-blocked GEMM, scratch from a recycled arena
+//   * direct  — the tap-walking reference kernel (ConvAlgo::kDirect), the
+//     denominator of every speedup below.
+//   * batched — the whole micro-batch through ONE register-blocked GEMM:
+//     forward gathers its B panels straight from the image, backward
+//     lowers the batch into one column matrix from a recycled arena
 //     (ConvAlgo::kIm2col, the default).
-//   * direct     — the tap-walking reference kernel, for scale.
 // Forward is timed in eval mode, forward+backward in training mode.
 //
 // Two A/B sections follow the algorithm grid, both on the batch-16
@@ -21,13 +21,12 @@
 //     (set_kernel_pool), isolating the panel-split scaling.
 //
 // Every configuration prints one machine-readable JSON line prefixed
-// "JSON "; the summary line reports the batched-vs-per-sample forward
-// speedup at batch 16 — the acceptance number for the batched path —
-// plus the active ISA and the SIMD speedup (context, not gated: the
-// scalar denominator is not present on every runner class).
+// "JSON "; the summary line reports the batched-vs-direct forward and
+// forward+backward speedups at batch 16 — the acceptance numbers for the
+// batched path — plus the active ISA and the SIMD speedup (context, not
+// gated: the scalar denominator is not present on every runner class).
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -59,7 +58,6 @@ Tensor random_tensor(std::vector<int> shape, util::Rng& rng) {
 const char* algo_name(ConvAlgo algo) {
   switch (algo) {
     case ConvAlgo::kIm2col: return "batched";
-    case ConvAlgo::kIm2colPerSample: return "per_sample";
     case ConvAlgo::kDirect: return "direct";
   }
   return "unknown";
@@ -72,7 +70,7 @@ struct Row {
   double fwd_seconds = 0.0;       // mean per forward call
   double fwd_images_per_sec = 0.0;
   double bwd_seconds = 0.0;       // mean per forward+backward call
-  double fwd_speedup = 1.0;       // vs per_sample at the same batch
+  double fwd_speedup = 1.0;       // vs direct at the same batch
   std::uint64_t scratch_floats = 0;
 };
 
@@ -126,7 +124,7 @@ void print_row(const Row& r) {
               static_cast<unsigned long long>(r.scratch_floats));
   std::printf("JSON {\"bench\":\"conv_gemm\",\"algo\":\"%s\",\"batch\":%d,"
               "\"reps\":%d,\"fwd_seconds\":%.6f,\"fwd_images_per_sec\":%.2f,"
-              "\"bwd_seconds\":%.6f,\"fwd_speedup_vs_per_sample\":%.4f,"
+              "\"bwd_seconds\":%.6f,\"fwd_speedup_vs_direct\":%.4f,"
               "\"scratch_floats\":%llu}\n",
               r.algo.c_str(), r.batch, r.reps, r.fwd_seconds,
               r.fwd_images_per_sec, r.bwd_seconds, r.fwd_speedup,
@@ -210,7 +208,7 @@ double time_conv_bn_relu(const Tensor& weights, const Tensor& x, int reps,
 
 int main(int argc, char** argv) {
   util::CliParser cli("bench_conv_gemm",
-                      "Batched im2col+GEMM conv vs per-sample baseline");
+                      "Batched GEMM conv vs the direct kernel");
   cli.add_option("channels", "64", "conv width (paper layer3_2: 64)");
   cli.add_option("size", "8", "spatial extent (paper layer3_2: 8)");
   cli.add_option("reps", "0", "timed reps per config (0 = auto)");
@@ -232,25 +230,23 @@ int main(int argc, char** argv) {
               "reps", "fwd_sec", "fwd_img/s", "fwd+bwd_sec", "speedup",
               "scratch_floats");
 
-  std::map<int, double> per_sample_fwd;
   double speedup_b16 = 0.0;
   double bwd_speedup_b16 = 0.0;
   for (int batch : {1, 4, 16, 64}) {
     const int reps = reps_opt > 0 ? reps_opt : std::max(4, 96 / batch);
     Tensor x = random_tensor({batch, channels, size, size}, rng);
     Tensor gout = random_tensor({batch, channels, size, size}, rng);
-    double per_sample_bwd = 0.0;
-    for (ConvAlgo algo : {ConvAlgo::kIm2colPerSample, ConvAlgo::kIm2col,
-                          ConvAlgo::kDirect}) {
+    double direct_fwd = 0.0, direct_bwd = 0.0;
+    for (ConvAlgo algo : {ConvAlgo::kDirect, ConvAlgo::kIm2col}) {
       Row row = run_algo(algo, weights, x, gout, reps);
-      if (algo == ConvAlgo::kIm2colPerSample) {
-        per_sample_fwd[batch] = row.fwd_seconds;
-        per_sample_bwd = row.bwd_seconds;
+      if (algo == ConvAlgo::kDirect) {
+        direct_fwd = row.fwd_seconds;
+        direct_bwd = row.bwd_seconds;
       }
-      row.fwd_speedup = per_sample_fwd[batch] / row.fwd_seconds;
+      row.fwd_speedup = direct_fwd / row.fwd_seconds;
       if (algo == ConvAlgo::kIm2col && batch == 16) {
         speedup_b16 = row.fwd_speedup;
-        bwd_speedup_b16 = per_sample_bwd / row.bwd_seconds;
+        bwd_speedup_b16 = direct_bwd / row.bwd_seconds;
       }
       print_row(row);
     }

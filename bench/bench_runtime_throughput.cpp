@@ -6,6 +6,9 @@
 // fixed-point and FPGA-sim backends at one batch setting. Dynamic batching
 // amortizes per-call dispatch/allocation overhead across the batch, so
 // engine throughput at max_batch > 1 should beat the sequential baseline.
+// The fixed backend is timed as an interleaved A/B against the float
+// backend at the same batch (fixed_vs_float_speedup: the int16 datapath's
+// worth over float on this host, in one run).
 //
 // Second act — routing policies under skewed load: the paper's PS/PL SoC
 // as a heterogeneous engine — float software (one A9 core), the
@@ -78,19 +81,14 @@ void print_row(const Row& r) {
               static_cast<unsigned long long>(r.pl_cycles));
 }
 
-/// `tries` > 1 keeps the fastest run — used for the rows whose ratios the
-/// perf gate checks, so a scheduler hiccup on a shared runner does not
+/// `tries` > 1 keeps the fastest run — for rows whose ratios the perf gate
+/// checks, so a scheduler hiccup on a shared runner does not
 /// flap the verdict (same stabilization as bench_overload's goodput).
 Row run_engine(models::Network& net, const core::Tensor& images,
-               core::ExecBackend backend, int max_batch,
-               core::ConvAlgo conv_algo = core::ConvAlgo::kIm2col,
-               int tries = 1, bool fixed_float_carrier = false) {
+               core::ExecBackend backend, int max_batch, int tries = 1) {
   Row row;
   row.mode = "engine";
   row.backend = core::backend_name(backend);
-  row.conv_algo = conv_algo != core::ConvAlgo::kIm2col ? "per_sample"
-                  : fixed_float_carrier                ? "batched_f32"
-                                                       : "batched";
   row.max_batch = max_batch;
   row.images = images.dim(0);
   for (int t = 0; t < tries; ++t) {
@@ -99,8 +97,6 @@ Row run_engine(models::Network& net, const core::Tensor& images,
     cfg.max_delay = std::chrono::microseconds(2000);
     runtime::BackendConfig bc;
     bc.backend = backend;
-    bc.conv_algo = conv_algo;
-    bc.fixed_float_carrier = fixed_float_carrier;
     cfg.backends = {bc};
     runtime::InferenceEngine engine(net, cfg);
 
@@ -282,69 +278,33 @@ int main(int argc, char** argv) {
 
   // Engine sweep on the float backend: batching amortization.
   double best_batched = 0.0;
-  int largest_mb = 1;
   for (int mb = 1; mb <= kMaxBatch; mb *= 2) {
     Row row = run_engine(net, images, core::ExecBackend::kFloat, mb);
     row.speedup = row.images_per_sec / base.images_per_sec;
     if (mb > 1) best_batched = std::max(best_batched, row.images_per_sec);
-    largest_mb = mb;
     print_row(row);
   }
 
-  // The fixed rows are an interleaved A/B: the default int16 datapath and
-  // the float-carrier comparator (FixedConvPath::kBatchedFloat) alternate
-  // tries pairwise, best-of-9 each, so scheduler/turbo drift on a shared
-  // runner hits both arms alike — the gated fixed_int_speedup is the ratio
-  // of these two rows. The int16 row is also the numerator of the gated
-  // fixed_conv_speedup.
-  Row fixed_row, fixed_f32_row;
+  // The fixed rows are an interleaved A/B: the fixed backend (int16
+  // datapath) and the float backend at the same max batch alternate tries
+  // pairwise, best-of-9 each, so scheduler/turbo drift on a shared runner
+  // hits both arms alike — the gated fixed_vs_float_speedup is the ratio
+  // of these two rows.
+  Row fixed_row, float_row;
   for (int t = 0; t < 9; ++t) {
     Row a = run_engine(net, images, core::ExecBackend::kFixed, kMaxBatch);
-    Row b = run_engine(net, images, core::ExecBackend::kFixed, kMaxBatch,
-                       core::ConvAlgo::kIm2col, 1,
-                       /*fixed_float_carrier=*/true);
+    Row b = run_engine(net, images, core::ExecBackend::kFloat, kMaxBatch);
     if (t == 0 || a.seconds < fixed_row.seconds) fixed_row = a;
-    if (t == 0 || b.seconds < fixed_f32_row.seconds) fixed_f32_row = b;
+    if (t == 0 || b.seconds < float_row.seconds) float_row = b;
   }
   fixed_row.speedup = fixed_row.images_per_sec / base.images_per_sec;
-  const double fixed_batched_ips = fixed_row.images_per_sec;
   print_row(fixed_row);
+  float_row.speedup = float_row.images_per_sec / base.images_per_sec;
+  print_row(float_row);
   Row fpga_row =
       run_engine(net, images, core::ExecBackend::kFpgaSim, kMaxBatch);
   fpga_row.speedup = fpga_row.images_per_sec / base.images_per_sec;
   print_row(fpga_row);
-
-  // Conv-algorithm A/B: the same engine, same micro-batch setting (the
-  // largest the sweep ran), with only the conv lowering switched to the
-  // pre-batching per-sample path — isolating the conv-algorithm effect
-  // from the batch-size choice. The batched conv is what lets
-  // micro-batching pull ahead of the sequential baseline by more than
-  // per-call overhead amortization.
-  Row ab_batched_row = run_engine(net, images, core::ExecBackend::kFloat,
-                                  largest_mb, core::ConvAlgo::kIm2col, 3);
-  ab_batched_row.speedup =
-      ab_batched_row.images_per_sec / base.images_per_sec;
-  print_row(ab_batched_row);
-  Row per_sample_row = run_engine(net, images, core::ExecBackend::kFloat,
-                                  largest_mb,
-                                  core::ConvAlgo::kIm2colPerSample, 3);
-  per_sample_row.speedup =
-      per_sample_row.images_per_sec / base.images_per_sec;
-  print_row(per_sample_row);
-
-  // Same A/B on the fixed-point backend: conv_algo=per_sample maps to
-  // FixedConvPath::kPerSample (the pre-batching quantized conv), so this
-  // isolates the fixed batched-lowering win — the PR's ≥1.5x acceptance.
-  Row fixed_ps_row = run_engine(net, images, core::ExecBackend::kFixed,
-                                kMaxBatch,
-                                core::ConvAlgo::kIm2colPerSample, 3);
-  fixed_ps_row.speedup = fixed_ps_row.images_per_sec / base.images_per_sec;
-  print_row(fixed_ps_row);
-
-  // The float-carrier comparator row measured in the interleaved A/B
-  // above, printed here next to the other fixed-backend ablation.
-  fixed_f32_row.speedup = fixed_f32_row.images_per_sec / base.images_per_sec;
-  print_row(fixed_f32_row);
 
   // Fused-epilogue A/B on the float backend: same engine, same micro-batch,
   // only the fused inference epilogues toggled — conv+BN+ReLU and
@@ -414,15 +374,9 @@ int main(int argc, char** argv) {
   }
 
   const double batched_speedup = best_batched / base.images_per_sec;
-  const double conv_speedup =
-      ab_batched_row.images_per_sec / per_sample_row.images_per_sec;
-  const double fixed_conv_speedup =
-      fixed_ps_row.images_per_sec > 0.0
-          ? fixed_batched_ips / fixed_ps_row.images_per_sec
-          : 0.0;
-  const double fixed_int_speedup =
-      fixed_f32_row.images_per_sec > 0.0
-          ? fixed_batched_ips / fixed_f32_row.images_per_sec
+  const double fixed_vs_float_speedup =
+      float_row.images_per_sec > 0.0
+          ? fixed_row.images_per_sec / float_row.images_per_sec
           : 0.0;
   const double fused_engine_speedup =
       fused_off_row.images_per_sec > 0.0
@@ -433,37 +387,23 @@ int main(int argc, char** argv) {
   std::printf("JSON {\"bench\":\"runtime_throughput\",\"summary\":true,"
               "\"images\":%d,\"sequential_images_per_sec\":%.2f,"
               "\"best_batched_images_per_sec\":%.2f,"
-              "\"conv_ab_max_batch\":%d,"
-              "\"batched_conv_images_per_sec\":%.2f,"
-              "\"per_sample_conv_images_per_sec\":%.2f,"
               "\"batched_speedup\":%.4f,"
-              "\"batched_conv_speedup\":%.4f,"
               "\"fixed_batched_images_per_sec\":%.2f,"
-              "\"fixed_per_sample_images_per_sec\":%.2f,"
-              "\"fixed_conv_speedup\":%.4f,"
-              "\"fixed_f32_images_per_sec\":%.2f,"
-              "\"fixed_int_speedup\":%.4f,"
+              "\"float_batched_images_per_sec\":%.2f,"
+              "\"fixed_vs_float_speedup\":%.4f,"
               "\"fused_images_per_sec\":%.2f,"
               "\"unfused_images_per_sec\":%.2f,"
               "\"fused_engine_speedup\":%.4f,"
               "\"fused_ode_fwd_seconds\":%.6f,"
               "\"unfused_ode_fwd_seconds\":%.6f,"
               "\"fused_ode_speedup\":%.4f,"
-              "\"batching_wins\":%s,\"batched_conv_wins\":%s,"
-              "\"fixed_meets_1p5x\":%s,\"fixed_int_wins\":%s,"
-              "\"fused_ode_wins\":%s}\n",
-              kImages, base.images_per_sec, best_batched, largest_mb,
-              ab_batched_row.images_per_sec, per_sample_row.images_per_sec,
-              batched_speedup, conv_speedup, fixed_batched_ips,
-              fixed_ps_row.images_per_sec, fixed_conv_speedup,
-              fixed_f32_row.images_per_sec, fixed_int_speedup,
-              fused_on_row.images_per_sec, fused_off_row.images_per_sec,
-              fused_engine_speedup, ode_fused_sec, ode_unfused_sec,
-              fused_ode_speedup,
+              "\"batching_wins\":%s,\"fused_ode_wins\":%s}\n",
+              kImages, base.images_per_sec, best_batched, batched_speedup,
+              fixed_row.images_per_sec, float_row.images_per_sec,
+              fixed_vs_float_speedup, fused_on_row.images_per_sec,
+              fused_off_row.images_per_sec, fused_engine_speedup,
+              ode_fused_sec, ode_unfused_sec, fused_ode_speedup,
               batched_speedup > 1.0 ? "true" : "false",
-              conv_speedup > 1.0 ? "true" : "false",
-              fixed_conv_speedup >= 1.5 ? "true" : "false",
-              fixed_int_speedup >= 1.0 ? "true" : "false",
               fused_ode_speedup >= 1.3 ? "true" : "false");
 
   // ---- Routing policies under skewed load -------------------------------

@@ -125,65 +125,15 @@ const PackedGemmA& Conv2d::packed_weights() {
 }
 
 Tensor Conv2d::forward_im2col(const Tensor& in) {
-  const int n = in.dim(0), ci = in.dim(1), h = in.dim(2), w = in.dim(3);
-  const LoweringGeometry g{.channels = ci, .height = h, .width = w,
-                           .kernel = cfg_.kernel, .stride = cfg_.stride,
-                           .pad = cfg_.pad};
-  const int ho = g.out_h(), wo = g.out_w();
-  const int co = cfg_.out_channels;
-  Tensor out({n, co, ho, wo});
-
-  const std::size_t kk = g.col_rows();
-  const std::size_t cc = g.col_cols();
-  const std::size_t ncols = cc * static_cast<std::size_t>(n);
-
-  // The whole batch lowers into ONE column matrix and ONE GEMM; every
-  // buffer comes from the recycled arena, so past the first call the path
-  // allocates nothing. The GEMM result is [co, n*cc] (channel-major); for
-  // n == 1 that IS the output layout, so write it in place, otherwise
-  // un-permute into NCHW.
-  ScratchArena& arena = active_arena();
-  const PackedGemmA& wp = packed_weights();
-  if (n == 1) {
-    arena.frame(kk * ncols);
-    float* cols = arena.alloc(kk * ncols);
-    im2col_batched(in.data(), g, n, cols);
-    gemm_tiled_pa(wp, cols, out.data(), static_cast<int>(ncols),
-                  /*accumulate=*/false);
-    return out;
-  }
-  arena.frame(kk * ncols + static_cast<std::size_t>(co) * ncols);
-  float* cols = arena.alloc(kk * ncols);
-  float* y = arena.alloc(static_cast<std::size_t>(co) * ncols);
-  im2col_batched(in.data(), g, n, cols);
-  gemm_tiled_pa(wp, cols, y, static_cast<int>(ncols), /*accumulate=*/false);
-  permute_channel_major(y, out.data(), n, co, cc, /*to_nchw=*/true);
-  return out;
-}
-
-Tensor Conv2d::forward_im2col_per_sample(const Tensor& in) const {
-  const int n = in.dim(0), ci = in.dim(1), h = in.dim(2), w = in.dim(3);
-  const LoweringGeometry g{.channels = ci, .height = h, .width = w,
-                           .kernel = cfg_.kernel, .stride = cfg_.stride,
-                           .pad = cfg_.pad};
-  const int ho = g.out_h(), wo = g.out_w();
-  const int co = cfg_.out_channels;
-  Tensor out({n, co, ho, wo});
-
-  const std::size_t in_sample = static_cast<std::size_t>(ci) * h * w;
-  const std::size_t out_sample =
-      static_cast<std::size_t>(co) * ho * wo;
-  // One task per sample, each with its own freshly allocated lowering
-  // buffer and its own small GEMM — the pre-batching behaviour, preserved
-  // as the baseline the batched path is benchmarked and parity-tested
-  // against.
-  util::parallel_for(0, static_cast<std::size_t>(n), [&](std::size_t ni) {
-    std::vector<float> cols(g.col_rows() * g.col_cols());
-    im2col(in.data() + ni * in_sample, g, cols.data());
-    gemm(weight_.value.data(), cols.data(), out.data() + ni * out_sample, co,
-         static_cast<int>(g.col_rows()), static_cast<int>(g.col_cols()),
-         /*accumulate=*/false);
-  });
+  const LoweringGeometry g{.channels = in.dim(1), .height = in.dim(2),
+                           .width = in.dim(3), .kernel = cfg_.kernel,
+                           .stride = cfg_.stride, .pad = cfg_.pad};
+  // The whole batch in one implicit-lowering GEMM: B panels are gathered
+  // straight from the image and tiles store NCHW, so there is neither a
+  // column matrix nor a layout permute.
+  Tensor out({in.dim(0), cfg_.out_channels, g.out_h(), g.out_w()});
+  gemm_lowered_ep(packed_weights(), in.data(), g, in.dim(0), out.data(),
+                  GemmEpilogue{});
   return out;
 }
 
@@ -222,31 +172,17 @@ void Conv2d::forward_fused(const Tensor& x, const ConvEpilogue& ep,
     out = Tensor({n, co, ho, wo});
   }
 
-  const std::size_t plane = static_cast<std::size_t>(h) * w;
-  const std::size_t kk = g.col_rows();
-  const std::size_t cc = g.col_cols();
-  const std::size_t ncols = cc * static_cast<std::size_t>(n);
-  const std::size_t aug_floats =
-      cfg_.time_channel
-          ? static_cast<std::size_t>(n) * static_cast<std::size_t>(ci) * plane
-          : 0;
-  const std::size_t y_floats =
-      n > 1 ? static_cast<std::size_t>(co) * ncols : 0;
-
-  // Everything transient — the augmented input, the lowering, the
-  // channel-major GEMM result — lives in the recycled arena: after warmup
-  // a fused forward allocates nothing. When the geometry admits the
-  // implicit lowering, the column matrix is never materialized at all:
-  // the GEMM gathers B panels straight from the (augmented) image.
-  const bool implicit = gemm_implicit_lowering_ok(g, co);
-  ScratchArena& arena = active_arena();
-  const PackedGemmA& wp = packed_weights();
-  arena.frame(aug_floats + (implicit ? 0 : kk * ncols) + y_floats);
+  // The augmented input lives in the recycled arena, so after warmup a
+  // fused forward allocates nothing; the GEMM gathers its B panels from
+  // it directly.
   const float* src = x.data();
   if (cfg_.time_channel) {
-    float* aug = arena.alloc(aug_floats);
+    const std::size_t plane = static_cast<std::size_t>(h) * w;
     const std::size_t in_sample = static_cast<std::size_t>(cx) * plane;
     const std::size_t aug_sample = static_cast<std::size_t>(ci) * plane;
+    ScratchArena& arena = active_arena();
+    arena.frame(static_cast<std::size_t>(n) * aug_sample);
+    float* aug = arena.alloc(static_cast<std::size_t>(n) * aug_sample);
     for (int i = 0; i < n; ++i) {
       std::memcpy(aug + i * aug_sample, src + i * in_sample,
                   in_sample * sizeof(float));
@@ -255,41 +191,13 @@ void Conv2d::forward_fused(const Tensor& x, const ConvEpilogue& ep,
     }
     src = aug;
   }
-  float* cols = nullptr;
-  if (!implicit) {
-    cols = arena.alloc(kk * ncols);
-    im2col_batched(src, g, n, cols);
-  }
-
   GemmEpilogue ge;
   ge.scale = ep.scale;
   ge.shift = ep.shift;
   ge.relu = ep.relu;
-  if (n == 1) {
-    // Channel-major IS NCHW at n == 1: the GEMM writes the output (and,
-    // when accumulating, reads it as the in-register residual) directly.
-    if (accumulate) {
-      ge.residual = out.data();
-      ge.beta = 1.0f;
-    }
-    if (implicit) {
-      gemm_tiled_pa_ep_lowered(wp, src, g, n, out.data(), ge);
-    } else {
-      gemm_tiled_pa_ep(wp, cols, out.data(), static_cast<int>(ncols), ge);
-    }
-    return;
-  }
-  float* y = arena.alloc(y_floats);
-  if (implicit) {
-    gemm_tiled_pa_ep_lowered(wp, src, g, n, y, ge);
-  } else {
-    gemm_tiled_pa_ep(wp, cols, y, static_cast<int>(ncols), ge);
-  }
-  if (accumulate) {
-    permute_channel_major_add(y, out.data(), n, co, cc);
-  } else {
-    permute_channel_major(y, out.data(), n, co, cc, /*to_nchw=*/true);
-  }
+  // Accumulation is the tile's residual: out = ep(conv) + 1 * out.
+  if (accumulate) ge.residual = out.data();
+  gemm_lowered_ep(packed_weights(), src, g, n, out.data(), ge);
 }
 
 Tensor Conv2d::forward(const Tensor& x) {
@@ -303,7 +211,6 @@ Tensor Conv2d::forward(const Tensor& x) {
   Tensor out;
   switch (cfg_.algo) {
     case ConvAlgo::kIm2col: out = forward_im2col(in); break;
-    case ConvAlgo::kIm2colPerSample: out = forward_im2col_per_sample(in); break;
     case ConvAlgo::kDirect: out = forward_direct(in); break;
   }
   if (training_) cached_input_ = std::move(in);
@@ -439,36 +346,6 @@ void Conv2d::backward_im2col(const Tensor& in, const Tensor& grad_out,
   col2im_batched(grad_cols, g, n, grad_in_aug.data());
 }
 
-void Conv2d::backward_im2col_per_sample(const Tensor& in,
-                                        const Tensor& grad_out,
-                                        Tensor& grad_in_aug) {
-  const int n = in.dim(0), ci = in.dim(1), h = in.dim(2), w = in.dim(3);
-  const LoweringGeometry g{.channels = ci, .height = h, .width = w,
-                           .kernel = cfg_.kernel, .stride = cfg_.stride,
-                           .pad = cfg_.pad};
-  const int co = cfg_.out_channels;
-  const int kk = static_cast<int>(g.col_rows());
-  const int nn = static_cast<int>(g.col_cols());
-
-  // Pre-batching baseline: re-lowers and allocates per sample.
-  std::vector<float> cols(g.col_rows() * g.col_cols());
-  std::vector<float> grad_cols(cols.size());
-  const std::size_t in_sample = static_cast<std::size_t>(ci) * h * w;
-  const std::size_t out_sample = static_cast<std::size_t>(co) * nn;
-
-  for (int ni = 0; ni < n; ++ni) {
-    const float* go = grad_out.data() + ni * out_sample;
-    // dW[co, kk] += G[co, nn] x cols^T (cols stored [kk, nn]).
-    im2col(in.data() + ni * in_sample, g, cols.data());
-    gemm_bt(go, cols.data(), weight_.grad.data(), co, nn, kk,
-            /*accumulate=*/true);
-    // grad_cols[kk, nn] = W^T[kk, co] x G[co, nn] (W stored [co, kk]).
-    gemm_at(weight_.value.data(), go, grad_cols.data(), kk, co, nn,
-            /*accumulate=*/false);
-    col2im(grad_cols.data(), g, grad_in_aug.data() + ni * in_sample);
-  }
-}
-
 Tensor Conv2d::backward(const Tensor& grad_out) {
   ODENET_CHECK(!cached_input_.empty(),
                name_ << ": backward without forward in training mode");
@@ -482,9 +359,6 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   switch (cfg_.algo) {
     case ConvAlgo::kIm2col:
       backward_im2col(in, grad_out, grad_in_aug);
-      break;
-    case ConvAlgo::kIm2colPerSample:
-      backward_im2col_per_sample(in, grad_out, grad_in_aug);
       break;
     case ConvAlgo::kDirect:
       backward_direct(in, grad_out, grad_in_aug);

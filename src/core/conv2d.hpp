@@ -20,17 +20,15 @@
 namespace odenet::core {
 
 /// Software convolution algorithm.
+///  * kIm2col (default) runs the whole micro-batch through the one tiled
+///    GEMM driver (core/im2col.hpp): forward gathers B panels straight
+///    from the NCHW image (gemm_lowered_ep, any geometry, NCHW store);
+///    backward lowers the batch once (im2col_batched) for dW and dX, with
+///    scratch from a recycled ScratchArena.
 ///  * kDirect walks the kernel taps in place (mirrors the hardware loop
-///    nest).
-///  * kIm2col (default) lowers the WHOLE micro-batch into one column
-///    matrix (im2col_batched) and runs a single register-blocked GEMM,
-///    with every scratch buffer served from a recycled ScratchArena — the
-///    batch-native fast path; no allocation after the first call.
-///  * kIm2colPerSample is the pre-batching lowering — one freshly
-///    allocated column buffer and one small GEMM per sample — kept as the
-///    parity/benchmark baseline the batched path is proven against.
-/// All three produce the same values up to float summation order.
-enum class ConvAlgo { kDirect, kIm2col, kIm2colPerSample };
+///    nest) — the independent oracle the lowered path is tested against.
+/// Both produce the same values up to float summation order.
+enum class ConvAlgo { kDirect, kIm2col };
 
 struct Conv2dConfig {
   int in_channels = 0;
@@ -63,15 +61,15 @@ class Conv2d final : public Layer {
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override { return {&weight_}; }
 
-  /// Eval-mode fused forward: one GEMM computes ep(conv(x)) — the folded
-  /// BN affine and ReLU applied in the output tile — and either overwrites
-  /// `out` (accumulate = false; reallocated on shape mismatch) or
-  /// accumulates into it (accumulate = true: out += ep(conv(x)), the Euler
-  /// state update; `out` must already have the output shape). The time
-  /// channel is augmented into arena scratch, so after warmup the call
-  /// allocates nothing. Only valid in eval mode with the kIm2col
-  /// algorithm — training keeps the unfused forward() and its autograd
-  /// caches.
+  /// Eval-mode fused forward: the same gemm_lowered_ep call as forward(),
+  /// with the folded BN affine and ReLU applied in the output tile — and
+  /// either overwrites `out` (accumulate = false; reallocated on shape
+  /// mismatch) or accumulates into it (accumulate = true: out +=
+  /// ep(conv(x)) as the tile's residual, the Euler state update; `out`
+  /// must already have the output shape). The time channel is augmented
+  /// into arena scratch, so after warmup the call allocates nothing. Only
+  /// valid in eval mode with the kIm2col algorithm — training keeps the
+  /// unfused forward() and its autograd caches.
   void forward_fused(const Tensor& x, const ConvEpilogue& ep, Tensor& out,
                      bool accumulate);
 
@@ -103,11 +101,6 @@ class Conv2d final : public Layer {
   const ScratchArena& scratch_arena() const {
     return arena_ != nullptr ? *arena_ : own_arena_;
   }
-
-  /// The same arena, mutable — for executors that run their own lowering
-  /// of this conv's geometry (the fixed-point batched path) and should
-  /// share its recycled scratch instead of growing a second buffer.
-  ScratchArena& lowering_arena() { return active_arena(); }
 
   /// Snapshot version stamped on the current weights (see
   /// models::ModelSnapshot). 0 means "unversioned": the weights may be
@@ -142,10 +135,8 @@ class Conv2d final : public Layer {
   Tensor augment(const Tensor& x) const;
 
   Tensor forward_direct(const Tensor& in) const;
-  /// Batched lowering: whole-batch im2col + one GEMM, arena-backed.
+  /// The implicit lowering: one gemm_lowered_ep over the whole batch.
   Tensor forward_im2col(const Tensor& in);
-  /// Legacy per-sample lowering (fresh scratch per sample) — baseline.
-  Tensor forward_im2col_per_sample(const Tensor& in) const;
   void backward_direct(const Tensor& in, const Tensor& grad_out,
                        Tensor& grad_in_aug);
   /// Batched lowering backward: one lowering of the whole batch, dW via
@@ -153,8 +144,6 @@ class Conv2d final : public Layer {
   /// weight view; all scratch arena-backed.
   void backward_im2col(const Tensor& in, const Tensor& grad_out,
                        Tensor& grad_in_aug);
-  void backward_im2col_per_sample(const Tensor& in, const Tensor& grad_out,
-                                  Tensor& grad_in_aug);
 
   ScratchArena& active_arena() {
     return arena_ != nullptr ? *arena_ : own_arena_;

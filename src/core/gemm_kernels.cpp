@@ -53,9 +53,9 @@ void tile4x16_scalar(const float* apanel, const float* bpanel, int k,
 /// byte-for-byte twin of tile4x16_scalar (never accumulating — an epilogue
 /// store always overwrites), then every element runs the fixed epilogue
 /// chain before its single store. The chain's op order (affine, relu,
-/// residual) is mirrored in the AVX2 twin and in gemm_tiled_pa_ep's
-/// ragged-edge path; keeping all three identical is what makes fused
-/// output bitwise equal to GEMM + elementwise kernels on either ISA.
+/// residual) is mirrored in the AVX2 twin; keeping both identical is what
+/// makes fused output bitwise equal to GEMM + elementwise kernels on
+/// either ISA.
 void tile4x16_ep_scalar(const float* apanel, const float* bpanel, int k,
                         float* c, std::size_t ldc, const float* scale4,
                         const float* shift4, bool relu, const float* residual,
@@ -465,8 +465,8 @@ void gemm_i16_tiled_pa(const PackedGemmA16& a, const std::int16_t* b,
   if (m == 0 || n == 0) return;
   const int kp = a.kpairs();
   const GemmKernels& kernels = active_gemm_kernels();
-  // Same blocking constants as the float gemm_tiled_pa (im2col.cpp): 256
-  // int16 columns per B panel, >= 8 row tiles per extra m-split task.
+  // Same blocking constants as the tiled driver (im2col.cpp): 256 int16
+  // columns per B panel, >= 8 row tiles per extra m-split task.
   constexpr int kPanelCols = 256;
   constexpr int kMinRowTilesPerTask = 8;
   const int panels = (n + kPanelCols - 1) / kPanelCols;

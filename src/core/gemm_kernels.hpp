@@ -253,8 +253,8 @@ struct PackedGemmB16 {
 void pack_gemm_b_i16(const std::int16_t* b, int k, int n, PackedGemmB16& out);
 
 /// Integer GEMM: C[m,n] (+)= A * B with A pre-packed (PackedGemmA16), B
-/// row-major int16 [k,n], C int32. The integer twin of gemm_tiled_pa: B is
-/// packed per column panel into recycled thread-local storage, full 4x16
+/// row-major int16 [k,n], C int32 — the explicit-lowering oracle of
+/// gemm_i16_lowered_ep (test-side only): B is packed per column panel into recycled thread-local storage, full 4x16
 /// tiles run the dispatched micro-kernel, ragged edges run an
 /// ISA-independent scalar path with identical wraparound semantics, and
 /// the panel x row-block thread split is bitwise invariant for any worker

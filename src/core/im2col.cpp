@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -31,17 +32,15 @@ inline int end_valid_ow(int kw, int pad, int stride, int w, int wo) {
 }
 
 /// Lowers one [C,H,W] sample. Lowered row r of this sample lives at
-/// dst + r * row_stride; with row_stride == col_cols() this is the classic
-/// per-sample layout, with row_stride == batch * col_cols() it writes one
-/// sample's column block of the batched matrix.
+/// dst + r * row_stride; with row_stride == batch * col_cols() it writes
+/// one sample's column block of the batched matrix.
 ///
 /// Per (kh, kw) tap the valid output-column range is computed once, so the
 /// interior is a branch-free copy: one memcpy per output row at stride 1,
 /// a gathered strided copy otherwise. Values are identical to the naive
 /// per-element walk (zeros outside, source reads inside). Templated on the
-/// element type: the float instantiation serves the classic lowering, the
-/// int16 one lowers pre-quantized activations for the integer GEMM (9x
-/// cheaper than quantizing the replicated column matrix).
+/// element type: float for the backward pass, int16 for the integer GEMM's
+/// test oracle.
 template <typename T>
 void im2col_strided(const T* src, const LoweringGeometry& g,
                     std::size_t row_stride, T* dst) {
@@ -80,9 +79,12 @@ void im2col_strided(const T* src, const LoweringGeometry& g,
           if (hi < plane) {
             std::memset(out_row + hi, 0, (plane - hi) * sizeof(T));
           }
-          // Rows whose source row is outside [0, h) are all zeros.
-          const int row0 = dh < 0 ? -dh : 0;
-          const int row1 = dh > 0 ? h - dh : h;
+          // Rows whose source row is outside [0, h) are all zeros. Both
+          // bounds are clamped to [0, h]: with pad > h a tap's shift
+          // exceeds the plane, and an unclamped range would zero memory
+          // past this sample's block (another pool task's sample).
+          const int row0 = dh < 0 ? std::min(-dh, h) : 0;
+          const int row1 = dh > 0 ? std::max(h - dh, row0) : h;
           if (row0 > 0) {
             std::memset(out_row, 0,
                         static_cast<std::size_t>(row0) * w * sizeof(T));
@@ -162,18 +164,9 @@ void col2im_strided(const float* cols, const LoweringGeometry& g,
   }
 }
 
-}  // namespace
-
-void im2col(const float* src, const LoweringGeometry& g, float* dst) {
-  im2col_strided(src, g, g.col_cols(), dst);
-}
-
-void col2im(const float* cols, const LoweringGeometry& g, float* dst) {
-  col2im_strided(cols, g, g.col_cols(), dst);
-}
-
-void im2col_batched(const float* src, const LoweringGeometry& g, int batch,
-                    float* dst) {
+template <typename T>
+void im2col_batched_any(const T* src, const LoweringGeometry& g, int batch,
+                        T* dst) {
   ODENET_CHECK(batch > 0, "im2col_batched needs a non-empty batch");
   const std::size_t sample =
       static_cast<std::size_t>(g.channels) * g.height * g.width;
@@ -185,17 +178,21 @@ void im2col_batched(const float* src, const LoweringGeometry& g, int batch,
   });
 }
 
+}  // namespace
+
+void im2col_block(const float* src, const LoweringGeometry& g,
+                  std::size_t row_stride, float* dst) {
+  im2col_strided(src, g, row_stride, dst);
+}
+
+void im2col_batched(const float* src, const LoweringGeometry& g, int batch,
+                    float* dst) {
+  im2col_batched_any(src, g, batch, dst);
+}
+
 void im2col_batched_i16(const std::int16_t* src, const LoweringGeometry& g,
                         int batch, std::int16_t* dst) {
-  ODENET_CHECK(batch > 0, "im2col_batched_i16 needs a non-empty batch");
-  const std::size_t sample =
-      static_cast<std::size_t>(g.channels) * g.height * g.width;
-  const std::size_t cc = g.col_cols();
-  const std::size_t row_stride = cc * static_cast<std::size_t>(batch);
-  util::parallel_for(kernel_pool(), 0, static_cast<std::size_t>(batch),
-                     [&](std::size_t ni) {
-    im2col_strided(src + ni * sample, g, row_stride, dst + ni * cc);
-  });
+  im2col_batched_any(src, g, batch, dst);
 }
 
 void col2im_batched(const float* cols, const LoweringGeometry& g, int batch,
@@ -230,24 +227,6 @@ void permute_channel_major(const float* src, float* dst, int batch,
   });
 }
 
-void gemm(const float* a, const float* b, float* c, int m, int k, int n,
-          bool accumulate) {
-  ODENET_CHECK(m >= 0 && k >= 0 && n >= 0, "bad gemm dimensions");
-  util::parallel_for(0, static_cast<std::size_t>(m), [&](std::size_t i) {
-    float* crow = c + i * n;
-    if (!accumulate) {
-      for (int j = 0; j < n; ++j) crow[j] = 0.0f;
-    }
-    const float* arow = a + i * k;
-    for (int p = 0; p < k; ++p) {
-      const float av = arow[p];
-      if (av == 0.0f) continue;
-      const float* brow = b + static_cast<std::size_t>(p) * n;
-      for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  });
-}
-
 void gemm_at(const float* a, const float* b, float* c, int m, int k, int n,
              bool accumulate) {
   // A stored [k, m]: A^T[i, p] = a[p*m + i].
@@ -274,7 +253,7 @@ constexpr int kTileCols = kGemmTileCols;
 // Column-panel width (multiple of kTileCols): every row tile of A sweeps
 // one k x kPanelCols panel of B before the next panel is touched, so the
 // panel is streamed from memory once and re-read m/MR times from cache.
-// Without this, a batched im2col matrix (k ~ C*9, n ~ N*Ho*Wo, megabytes)
+// Without this, a batched lowering (k ~ C*9, n ~ N*Ho*Wo, megabytes)
 // would be re-streamed from DRAM once per row tile. k * 256 floats ~ 0.6 MB
 // at the paper's largest lowering (k = 585).
 constexpr int kPanelCols = 256;
@@ -325,387 +304,262 @@ void run_panel_split(int m, int k, int n, int panels, int row_tiles,
       });
 }
 
-}  // namespace
+/// Where the driver stores: element (row i, flat column j) of the [m, n]
+/// product lives at c[((j / plane) * m + i) * plane + j % plane] — NCHW
+/// with `plane` columns per sample, so plane == n is the plain row-major
+/// [m, n] matrix. r (same layout, may alias c, or null) is the window
+/// each tile reads before its store: the epilogue residual, or C itself
+/// for an accumulating GEMM.
+struct TileOut {
+  float* c;
+  const float* r;
+  int m;
+  std::size_t plane;
 
-void pack_gemm_a(const float* a, int m, int k, PackedGemmA& out) {
-  ODENET_CHECK(m >= 0 && k >= 0, "bad pack_gemm_a dimensions");
-  out.m = m;
-  out.k = k;
-  const int row_tiles = (m + kTileRows - 1) / kTileRows;
-  out.data.resize(static_cast<std::size_t>(row_tiles) *
-                  static_cast<std::size_t>(std::max(k, 1)) * kTileRows);
-  for (int t = 0; t < row_tiles; ++t) {
-    const int i0 = t * kTileRows;
-    const int mr = std::min(kTileRows, m - i0);
-    float* panel = out.data.data() +
-                   static_cast<std::size_t>(t) * k * kTileRows;
-    for (int p = 0; p < k; ++p) {
-      float* dst = panel + static_cast<std::size_t>(p) * kTileRows;
-      for (int i = 0; i < mr; ++i) {
-        dst[i] = a[(i0 + i) * static_cast<std::size_t>(k) + p];
-      }
-      for (int i = mr; i < kTileRows; ++i) dst[i] = 0.0f;
-    }
+  std::size_t at(int i, int j) const {
+    const std::size_t ni = static_cast<std::size_t>(j) / plane;
+    return (ni * static_cast<std::size_t>(m) + static_cast<std::size_t>(i)) *
+               plane +
+           (static_cast<std::size_t>(j) - ni * plane);
   }
-}
-
-void gemm_tiled_pa(const PackedGemmA& a, const float* b, float* c, int n,
-                   bool accumulate) {
-  ODENET_CHECK(n >= 0, "bad gemm dimensions");
-  const int m = a.m, k = a.k;
-  if (m == 0 || n == 0) return;
-  const GemmKernels& kernels = active_gemm_kernels();
-  const int panels = (n + kPanelCols - 1) / kPanelCols;
-  const int row_tiles = (m + kTileRows - 1) / kTileRows;
-
-  // One task = one column panel x one row-tile span. Every output tile's
-  // k-loop is self-contained, so the result is bitwise identical for any
-  // split — thread-count invariance is structural, not lucky.
-  auto run_span = [&](int pi, int t0, int t1) {
-    const int p0 = pi * kPanelCols;
-    const int pn = std::min(kPanelCols, n - p0);
-    // Pack the panel's full-width column tiles into contiguous [k x NR]
-    // micro-panels (one sequential pass over B). Rows of a wide B sit one
-    // page apart, so sweeping them once per ROW TILE of A would touch k
-    // pages per sweep and thrash the TLB; packed, every micro-kernel read
-    // is sequential. Thread-local: recycled across calls, one per worker.
-    const int full_tiles = pn / kTileCols;
-    static thread_local std::vector<float> packed;
-    packed.resize(static_cast<std::size_t>(std::max(full_tiles, 1)) *
-                  static_cast<std::size_t>(std::max(k, 1)) * kTileCols);
-    for (int p = 0; p < k; ++p) {
-      const float* brow = b + static_cast<std::size_t>(p) * n + p0;
-      for (int jt = 0; jt < full_tiles; ++jt) {
-        float* dst = packed.data() +
-                     (static_cast<std::size_t>(jt) * k +
-                      static_cast<std::size_t>(p)) *
-                         kTileCols;
-        std::memcpy(dst, brow + jt * kTileCols, kTileCols * sizeof(float));
-      }
-    }
-    for (int t = t0; t < t1; ++t) {
-      const int i0 = t * kTileRows;
-      const int mr = std::min(kTileRows, m - i0);
-      const float* apanel = a.data.data() +
-                            static_cast<std::size_t>(t) * k * kTileRows;
-      for (int jt = 0; jt < pn; jt += kTileCols) {
-        const int j0 = p0 + jt;
-        const int nr = std::min(kTileCols, pn - jt);
-        if (mr == kTileRows && nr == kTileCols) {
-          const float* bp = packed.data() +
-                            static_cast<std::size_t>(jt / kTileCols) * k *
-                                kTileCols;
-          kernels.tile4x16(apanel, bp, k,
-                           c + (static_cast<std::size_t>(i0) * n + j0),
-                           static_cast<std::size_t>(n), accumulate);
-        } else {
-          // Ragged edge: ascending-k scalar tile reading B in place (only
-          // the last <NR columns / <MR rows land here), reading A from the
-          // packed panel — same values, same order as the strided read.
-          for (int i = 0; i < mr; ++i) {
-            float* crow = c + (i0 + i) * static_cast<std::size_t>(n) + j0;
-            for (int j = 0; j < nr; ++j) {
-              float sum = accumulate ? crow[j] : 0.0f;
-              const float* bcol = b + j0 + j;
-              for (int p = 0; p < k; ++p) {
-                sum += apanel[p * kTileRows + i] *
-                       bcol[static_cast<std::size_t>(p) * n];
-              }
-              crow[j] = sum;
-            }
-          }
-        }
-      }
-    }
-  };
-
-  run_panel_split(m, k, n, panels, row_tiles, run_span);
-}
-
-void gemm_tiled_pa_ep(const PackedGemmA& a, const float* b, float* c, int n,
-                      const GemmEpilogue& ep) {
-  ODENET_CHECK(n >= 0, "bad gemm dimensions");
-  const int m = a.m, k = a.k;
-  if (m == 0 || n == 0) return;
-  const GemmKernels& kernels = active_gemm_kernels();
-  const int panels = (n + kPanelCols - 1) / kPanelCols;
-  const int row_tiles = (m + kTileRows - 1) / kTileRows;
-
-  // gemm_tiled_pa's task shape with the epilogue threaded through: full
-  // tiles run the fused micro-kernel; ragged edges run the ascending-k
-  // scalar sum then the SAME epilogue chain inline (ISA-independent). The
-  // epilogue is per-element, so thread-count invariance stays structural.
-  auto run_span = [&](int pi, int t0, int t1) {
-    const int p0 = pi * kPanelCols;
-    const int pn = std::min(kPanelCols, n - p0);
-    const int full_tiles = pn / kTileCols;
-    static thread_local std::vector<float> packed;
-    packed.resize(static_cast<std::size_t>(std::max(full_tiles, 1)) *
-                  static_cast<std::size_t>(std::max(k, 1)) * kTileCols);
-    for (int p = 0; p < k; ++p) {
-      const float* brow = b + static_cast<std::size_t>(p) * n + p0;
-      for (int jt = 0; jt < full_tiles; ++jt) {
-        float* dst = packed.data() +
-                     (static_cast<std::size_t>(jt) * k +
-                      static_cast<std::size_t>(p)) *
-                         kTileCols;
-        std::memcpy(dst, brow + jt * kTileCols, kTileCols * sizeof(float));
-      }
-    }
-    for (int t = t0; t < t1; ++t) {
-      const int i0 = t * kTileRows;
-      const int mr = std::min(kTileRows, m - i0);
-      const float* apanel = a.data.data() +
-                            static_cast<std::size_t>(t) * k * kTileRows;
-      const float* scale4 = ep.scale != nullptr ? ep.scale + i0 : nullptr;
-      const float* shift4 = ep.shift != nullptr ? ep.shift + i0 : nullptr;
-      for (int jt = 0; jt < pn; jt += kTileCols) {
-        const int j0 = p0 + jt;
-        const int nr = std::min(kTileCols, pn - jt);
-        if (mr == kTileRows && nr == kTileCols) {
-          const float* bp = packed.data() +
-                            static_cast<std::size_t>(jt / kTileCols) * k *
-                                kTileCols;
-          const float* rtile =
-              ep.residual != nullptr
-                  ? ep.residual + static_cast<std::size_t>(i0) * n + j0
-                  : nullptr;
-          kernels.tile4x16_ep(apanel, bp, k,
-                              c + (static_cast<std::size_t>(i0) * n + j0),
-                              static_cast<std::size_t>(n), scale4, shift4,
-                              ep.relu, rtile, static_cast<std::size_t>(n),
-                              ep.beta);
-        } else {
-          for (int i = 0; i < mr; ++i) {
-            float* crow = c + (i0 + i) * static_cast<std::size_t>(n) + j0;
-            const float* rrow =
-                ep.residual != nullptr
-                    ? ep.residual + (i0 + i) * static_cast<std::size_t>(n) + j0
-                    : nullptr;
-            for (int j = 0; j < nr; ++j) {
-              float sum = 0.0f;
-              const float* bcol = b + j0 + j;
-              for (int p = 0; p < k; ++p) {
-                sum += apanel[p * kTileRows + i] *
-                       bcol[static_cast<std::size_t>(p) * n];
-              }
-              // The epilogue chain, op for op the micro-kernel's.
-              if (scale4 != nullptr) sum = sum * scale4[i];
-              if (shift4 != nullptr) sum = sum + shift4[i];
-              if (ep.relu) sum = sum > 0.0f ? sum : 0.0f;
-              if (rrow != nullptr) sum = sum + ep.beta * rrow[j];
-              crow[j] = sum;
-            }
-          }
-        }
-      }
-    }
-  };
-
-  run_panel_split(m, k, n, panels, row_tiles, run_span);
-}
-
-namespace {
-
-// Per-tap gather plan for the implicit stride-1 "same" lowering: column
-// row (c, kh, kw) of the im2col matrix is the input plane shifted by
-// `shift` with out-of-image taps zeroed. [lo, hi) bounds the plane range
-// whose shifted source lies inside the plane at all; [rlo, rhi) the flat
-// range of vertically-valid rows; [zl, zr) the horizontally-valid columns
-// within each row. Identical masking to im2col_strided's fast path.
-struct TapSpec {
-  std::ptrdiff_t shift = 0;
-  std::size_t lo = 0, hi = 0;
-  std::size_t rlo = 0, rhi = 0;
-  int zl = 0, zr = 0;
-  // Fast interior range: a micro-panel row wholly inside [flo, fhi) is one
-  // constant-size 16-float copy plus ncz pointwise zeros (cz lists the
-  // column-clipped in-tile positions — valid because tiles are 16-aligned,
-  // so when the image width divides 16 every tile shares one column
-  // phase). Tiles outside take the general masked gather.
-  std::size_t flo = 0, fhi = 0;
-  int cz[kGemmTileCols] = {};
-  int ncz = 0;
 };
 
-constexpr int kMaxImplicitTaps = 49;  // kernels up to 7x7
-
-// Fill one micro-panel row: columns [q0, q0+16) of the tap-shifted plane.
-// rowbase is the flat offset of the row containing q0 (tracked by the
-// caller so no per-tile division is needed).
-inline void gather_tap_row16(const float* splane, const TapSpec& ts,
-                             std::size_t w, std::size_t q0,
-                             std::size_t rowbase, float* dst) {
-  const std::size_t q1 = q0 + kTileCols;
-  const std::size_t a0 = std::max(q0, ts.lo);
-  const std::size_t a1 = std::min(q1, ts.hi);
-  if (a1 <= a0) {
-    std::memset(dst, 0, kTileCols * sizeof(float));
-    return;
-  }
-  if (a0 > q0) std::memset(dst, 0, (a0 - q0) * sizeof(float));
-  std::memcpy(dst + (a0 - q0), splane + a0 + ts.shift,
-              (a1 - a0) * sizeof(float));
-  if (q1 > a1) std::memset(dst + (a1 - q0), 0, (q1 - a1) * sizeof(float));
-  // Rows clipped by the vertical shift.
-  if (a0 < ts.rlo) {
-    const std::size_t e = std::min(a1, ts.rlo);
-    std::memset(dst + (a0 - q0), 0, (e - a0) * sizeof(float));
-  }
-  if (a1 > ts.rhi) {
-    const std::size_t s = std::max(a0, ts.rhi);
-    std::memset(dst + (s - q0), 0, (a1 - s) * sizeof(float));
-  }
-  // Columns clipped by the horizontal shift, row by covered row.
-  if (ts.zl > 0 || static_cast<std::size_t>(ts.zr) < w) {
-    for (std::size_t rb = rowbase; rb < a1; rb += w) {
-      std::size_t s = std::max(a0, rb);
-      std::size_t e = std::min(a1, rb + static_cast<std::size_t>(ts.zl));
-      for (; s < e; ++s) dst[s - q0] = 0.0f;
-      s = std::max(a0, rb + static_cast<std::size_t>(ts.zr));
-      e = std::min(a1, rb + w);
-      for (; s < e; ++s) dst[s - q0] = 0.0f;
-    }
-  }
-}
-
-}  // namespace
-
-bool gemm_implicit_lowering_ok(const LoweringGeometry& g, int m) {
-  const std::size_t plane =
-      static_cast<std::size_t>(g.height) * static_cast<std::size_t>(g.width);
-  return g.stride == 1 && g.height > 0 && g.width > 0 &&
-         g.out_h() == g.height && g.out_w() == g.width &&
-         plane % kTileCols == 0 && m % kTileRows == 0 &&
-         g.kernel * g.kernel <= kMaxImplicitTaps;
-}
-
-void gemm_tiled_pa_ep_lowered(const PackedGemmA& a, const float* src,
-                              const LoweringGeometry& g, int batch, float* c,
-                              const GemmEpilogue& ep) {
-  const int m = a.m, k = a.k;
-  ODENET_CHECK(gemm_implicit_lowering_ok(g, m),
-               "gemm_tiled_pa_ep_lowered: geometry not implicit-eligible");
-  ODENET_CHECK(k == static_cast<int>(g.col_rows()),
-               "gemm_tiled_pa_ep_lowered: packed A k " << k
-                   << " != lowering rows " << g.col_rows());
-  ODENET_CHECK(batch > 0, "gemm_tiled_pa_ep_lowered needs a non-empty batch");
-  const std::size_t uw = static_cast<std::size_t>(g.width);
-  const std::size_t plane = static_cast<std::size_t>(g.height) * uw;
-  const std::size_t sample = static_cast<std::size_t>(g.channels) * plane;
-  const int n = static_cast<int>(plane * static_cast<std::size_t>(batch));
+/// THE tiled GEMM driver: every 4x16 tile of an [m, k] x [k, n] product,
+/// column panel by column panel on the run_panel_split thread split.
+/// Its two variation points:
+///  * pack_panel(p0, pn, scratch) returns the ceil(pn/16) B micro-panels
+///    of columns [p0, p0 + pn), `bstride` elements apart, phantom columns
+///    zero — copied from a row-major B, pointed into a pre-packed B, or
+///    gathered straight from an NCHW image;
+///  * tile(t, bpanel, c, ldc, r, ldr) runs the micro-kernel for row tile t
+///    and stores it — plain, accumulating, or through an epilogue.
+/// One edge rule: a tile that is ragged (rows past m, columns past n) or
+/// straddles two samples runs the same full kernel into a local 4x16 tile
+/// (its r window copied in first) and copies the live corner out. Every
+/// element is therefore computed by the same kernel lane in the same k
+/// order wherever it sits, so the output is bitwise independent of the
+/// tiling, the B source and the thread split.
+template <typename T, typename PackPanel, typename Tile>
+void run_tiles(int m, int k, int n, std::size_t bstride, const TileOut& o,
+               const PackPanel& pack_panel, const Tile& tile) {
   if (m == 0 || n == 0) return;
-  const GemmKernels& kernels = active_gemm_kernels();
   const int panels = (n + kPanelCols - 1) / kPanelCols;
-  const int row_tiles = m / kTileRows;
-  const int kk = g.kernel * g.kernel;
-
-  TapSpec taps[kMaxImplicitTaps];
-  for (int t = 0; t < kk; ++t) {
-    const int dh = t / g.kernel - g.pad, dw = t % g.kernel - g.pad;
-    TapSpec& ts = taps[t];
-    ts.shift = static_cast<std::ptrdiff_t>(dh) * g.width + dw;
-    std::size_t lo = ts.shift < 0 ? static_cast<std::size_t>(-ts.shift) : 0;
-    std::size_t hi =
-        ts.shift > 0
-            ? plane - std::min<std::size_t>(
-                          plane, static_cast<std::size_t>(ts.shift))
-            : plane;
-    ts.lo = std::min(lo, plane);
-    ts.hi = std::max(hi, ts.lo);
-    const int row0 = dh < 0 ? std::min(-dh, g.height) : 0;
-    const int row1 = dh > 0 ? std::max(g.height - dh, row0) : g.height;
-    ts.rlo = static_cast<std::size_t>(row0) * uw;
-    ts.rhi = static_cast<std::size_t>(row1) * uw;
-    ts.zl = std::min(dw < 0 ? -dw : 0, g.width);
-    ts.zr = std::max(g.width - (dw > 0 ? dw : 0), ts.zl);
-    ts.flo = std::max(ts.lo, ts.rlo);
-    ts.fhi = std::max(std::min(ts.hi, ts.rhi), ts.flo);
-    ts.ncz = 0;
-    if (ts.zl > 0 || ts.zr < g.width) {
-      if (g.width <= kTileCols && kTileCols % g.width == 0) {
-        for (int j = 0; j < kTileCols; ++j) {
-          const int jm = j % g.width;
-          if (jm < ts.zl || jm >= ts.zr) ts.cz[ts.ncz++] = j;
-        }
-      } else {
-        ts.fhi = ts.flo;  // column phase varies per tile: general path only
-      }
-    }
-  }
-
-  // gemm_tiled_pa_ep's task shape, with the B-panel pack replaced by the
-  // direct gather. plane % 16 == 0 means every micro-panel sits inside one
-  // sample and pn % 16 == 0, so there are no ragged column edges; m % 4 ==
-  // 0 removes the ragged row edge. Same packed values, same kernel, same
-  // sweep order as the explicit composition — bitwise identical output.
-  auto run_span = [&](int pi, int t0, int t1) {
+  const int row_tiles = (m + kTileRows - 1) / kTileRows;
+  run_panel_split(m, k, n, panels, row_tiles, [&](int pi, int t0, int t1) {
     const int p0 = pi * kPanelCols;
     const int pn = std::min(kPanelCols, n - p0);
-    const int full_tiles = pn / kTileCols;
-    static thread_local std::vector<float> packed;
-    packed.resize(static_cast<std::size_t>(full_tiles) *
-                  static_cast<std::size_t>(std::max(k, 1)) * kTileCols);
-    for (int p = 0; p < k; ++p) {
-      const TapSpec& ts = taps[p % kk];
-      const float* chan = src + static_cast<std::size_t>(p / kk) * plane;
-      std::size_t ni = static_cast<std::size_t>(p0) / plane;
-      std::size_t q0 = static_cast<std::size_t>(p0) - ni * plane;
-      std::size_t rowbase = (q0 / uw) * uw;
-      const float* splane = chan + ni * sample;
-      for (int jt = 0; jt < full_tiles; ++jt) {
-        float* dst = packed.data() +
-                     (static_cast<std::size_t>(jt) * k +
-                      static_cast<std::size_t>(p)) *
-                         kTileCols;
-        if (q0 >= ts.flo && q0 + kTileCols <= ts.fhi) {
-          std::memcpy(dst, splane + q0 + ts.shift,
-                      kTileCols * sizeof(float));
-          for (int z = 0; z < ts.ncz; ++z) dst[ts.cz[z]] = 0.0f;
-        } else {
-          gather_tap_row16(splane, ts, uw, q0, rowbase, dst);
-        }
-        q0 += kTileCols;
-        if (q0 == plane) {
-          q0 = 0;
-          rowbase = 0;
-          splane += sample;
-        } else {
-          while (q0 - rowbase >= uw) rowbase += uw;
-        }
-      }
-    }
+    // Task-local B panel: written and read by this task only.
+    static thread_local std::vector<T> scratch;
+    const T* panel = pack_panel(p0, pn, scratch);
     for (int t = t0; t < t1; ++t) {
       const int i0 = t * kTileRows;
-      const float* apanel = a.data.data() +
-                            static_cast<std::size_t>(t) * k * kTileRows;
-      const float* scale4 = ep.scale != nullptr ? ep.scale + i0 : nullptr;
-      const float* shift4 = ep.shift != nullptr ? ep.shift + i0 : nullptr;
-      for (int jt = 0; jt < full_tiles; ++jt) {
+      const int mr = std::min(kTileRows, m - i0);
+      for (int jt = 0; jt * kTileCols < pn; ++jt) {
         const int j0 = p0 + jt * kTileCols;
-        const float* bp = packed.data() +
-                          static_cast<std::size_t>(jt) * k * kTileCols;
-        const float* rtile =
-            ep.residual != nullptr
-                ? ep.residual + static_cast<std::size_t>(i0) * n + j0
-                : nullptr;
-        kernels.tile4x16_ep(apanel, bp, k,
-                            c + (static_cast<std::size_t>(i0) * n + j0),
-                            static_cast<std::size_t>(n), scale4, shift4,
-                            ep.relu, rtile, static_cast<std::size_t>(n),
-                            ep.beta);
+        const int nr = std::min(kTileCols, n - j0);
+        const T* bp = panel + static_cast<std::size_t>(jt) * bstride;
+        if (mr == kTileRows && nr == kTileCols &&
+            static_cast<std::size_t>(j0) % o.plane + kTileCols <= o.plane) {
+          const std::size_t off = o.at(i0, j0);
+          tile(t, bp, o.c + off, o.plane, o.r != nullptr ? o.r + off : nullptr,
+               o.plane);
+          continue;
+        }
+        float local[kTileRows * kTileCols] = {};
+        if (o.r != nullptr) {
+          for (int i = 0; i < mr; ++i) {
+            for (int j = 0; j < nr; ++j) {
+              local[i * kTileCols + j] = o.r[o.at(i0 + i, j0 + j)];
+            }
+          }
+        }
+        tile(t, bp, local, kTileCols, o.r != nullptr ? local : nullptr,
+             kTileCols);
+        for (int i = 0; i < mr; ++i) {
+          for (int j = 0; j < nr; ++j) {
+            o.c[o.at(i0 + i, j0 + j)] = local[i * kTileCols + j];
+          }
+        }
       }
     }
-  };
-
-  run_panel_split(m, k, n, panels, row_tiles, run_span);
+  });
 }
 
-namespace {
+/// The 4 per-row epilogue coefficients of the row tile at i0; a ragged
+/// last tile reads a zero-padded copy.
+inline const float* row_coeffs(const float* v, int i0, int m, float* pad) {
+  if (v == nullptr || i0 + kTileRows <= m) {
+    return v != nullptr ? v + i0 : nullptr;
+  }
+  std::fill_n(pad, kTileRows, 0.0f);
+  std::copy_n(v + i0, m - i0, pad);
+  return pad;
+}
 
-// Pair-interleaves two 16-column tap rows into one [16][2] micro-panel
-// k-pair — dst[2j] = r0[j] & m0[j], dst[2j+1] = r1[j] & m1[j] — with the
-// 0 / -1 masks zeroing out-of-image taps.
+/// Plain or accumulating float store: C (+)= A * B.
+auto plain_tile(const PackedGemmA& a, bool accumulate) {
+  const GemmKernels* kernels = &active_gemm_kernels();
+  return [&a, kernels, accumulate](int t, const float* bp, float* c,
+                                   std::size_t ldc, const float*,
+                                   std::size_t) {
+    kernels->tile4x16(a.data.data() + static_cast<std::size_t>(t) * a.k *
+                                          kTileRows,
+                      bp, a.k, c, ldc, accumulate);
+  };
+}
+
+// ---- The implicit lowering's gather plan --------------------------------
+
+/// The same-width integer lane mask of an operand type: the implicit
+/// gather ANDs each 16-value tap row with a 0 / all-ones mask row.
+template <typename T>
+using MaskOf =
+    std::conditional_t<std::is_same_v<T, float>, std::int32_t, std::int16_t>;
+
+/// Lowered row r of an [N, C, H, W] image, 16 output columns at a time,
+/// without materializing the column matrix: the one per-tap plan the
+/// float and the int16 convs share. Per tap (kh, kw) and output position
+/// q it records the in-sample source offset ih*W + iw, or -1 where the
+/// tap falls outside the image. In the "same" geometry (stride 1, output
+/// extents == input extents) the tap's row is additionally the input
+/// plane flat-shifted by (kh - pad)*W + (kw - pad) under a 0 / all-ones
+/// mask plane, so a window inside one sample is two vector loads and an
+/// AND per 16 columns. Every other window (stride 2, one that straddles
+/// two samples or runs past n) reads column by column through the offset
+/// plane. Both give exactly the values im2col_batched materializes.
+template <typename T>
+class ImageGather {
+ public:
+  using Mask = MaskOf<T>;
+  struct Row {
+    const T* values;
+    const Mask* mask;
+  };
+  /// The 16 flat columns [col0, col0 + 16) of one micro-panel.
+  struct Window {
+    bool contiguous = false;  // same geometry, inside one sample
+    std::size_t at = 0;       // contiguous: image offset of (sample, q0)
+    std::size_t q0 = 0;
+    std::size_t base[kTileCols] = {};  // else per column: sample offset
+    std::size_t q[kTileCols] = {};     // (image_ past n) and position q
+  };
+
+  static constexpr Mask kOnes[kTileCols] = {-1, -1, -1, -1, -1, -1, -1, -1,
+                                            -1, -1, -1, -1, -1, -1, -1, -1};
+
+  ImageGather(const T* src, const LoweringGeometry& g, int batch)
+      : src_(src), plane_(g.col_cols()) {
+    const int kk = g.kernel * g.kernel;
+    const int ho = g.out_h(), wo = g.out_w();
+    const std::size_t in_plane = static_cast<std::size_t>(g.height) * g.width;
+    sample_ = static_cast<std::size_t>(g.channels) * in_plane;
+    image_ = sample_ * static_cast<std::size_t>(batch);
+    n_ = plane_ * static_cast<std::size_t>(batch);
+    same_ = g.stride == 1 && ho == g.height && wo == g.width;
+    offset_.resize(static_cast<std::size_t>(kk) * plane_);
+    if (same_) mask_.resize(offset_.size());
+    for (int t = 0; t < kk; ++t) {
+      const int kh = t / g.kernel, kw = t % g.kernel;
+      std::size_t at = static_cast<std::size_t>(t) * plane_;
+      for (int oh = 0; oh < ho; ++oh) {
+        const int ih = oh * g.stride - g.pad + kh;
+        for (int ow = 0; ow < wo; ++ow, ++at) {
+          const int iw = ow * g.stride - g.pad + kw;
+          const bool inside =
+              ih >= 0 && ih < g.height && iw >= 0 && iw < g.width;
+          offset_[at] = inside ? ih * g.width + iw : -1;
+          if (same_) mask_[at] = inside ? Mask{-1} : Mask{0};
+        }
+      }
+    }
+    const int k = g.channels * kk;
+    chan_.resize(static_cast<std::size_t>(k));
+    tap_.resize(chan_.size());
+    shift_.resize(chan_.size());
+    for (int r = 0; r < k; ++r) {
+      const int t = r % kk;
+      chan_[r] = static_cast<std::size_t>(r / kk) * in_plane;
+      tap_[r] = static_cast<std::size_t>(t) * plane_;
+      shift_[r] = static_cast<std::ptrdiff_t>(t / g.kernel - g.pad) * g.width +
+                  (t % g.kernel - g.pad);
+    }
+  }
+
+  Window window(std::size_t col0) const {
+    Window w;
+    const std::size_t ni = col0 / plane_;
+    w.q0 = col0 - ni * plane_;
+    w.at = ni * sample_ + w.q0;
+    w.contiguous = same_ && w.q0 + kTileCols <= plane_;
+    if (w.contiguous) return w;
+    for (int j = 0; j < kTileCols; ++j) {
+      const std::size_t col = std::min(col0 + j, n_ - 1);
+      const std::size_t nj = col / plane_;
+      w.base[j] = col0 + j < n_ ? nj * sample_ : image_;
+      w.q[j] = col - nj * plane_;
+    }
+    return w;
+  }
+
+  /// Row r over window w: 16 values and their mask. Windows that would
+  /// read past either end of the image are gathered into tmp (only their
+  /// masked-in taps, which always lie inside) under an all-ones mask.
+  Row row(int r, const Window& w, T* tmp) const {
+    if (w.contiguous) {
+      const Mask* m = mask_.data() + tap_[r] + w.q0;
+      const std::ptrdiff_t at =
+          static_cast<std::ptrdiff_t>(w.at + chan_[r]) + shift_[r];
+      if (at >= 0 && at + kTileCols <= static_cast<std::ptrdiff_t>(image_)) {
+        return Row{src_ + at, m};
+      }
+      for (int j = 0; j < kTileCols; ++j) tmp[j] = m[j] != 0 ? src_[at + j] : T{};
+      return Row{tmp, kOnes};
+    }
+    const std::int32_t* off = offset_.data() + tap_[r];
+    const T* chan = src_ + chan_[r];
+    for (int j = 0; j < kTileCols; ++j) {
+      const std::int32_t o = off[w.q[j]];
+      tmp[j] = o >= 0 && w.base[j] < image_
+                   ? chan[w.base[j] + static_cast<std::size_t>(o)]
+                   : T{};
+    }
+    return Row{tmp, kOnes};
+  }
+
+ private:
+  const T* src_;
+  std::size_t plane_, sample_ = 0, image_ = 0, n_ = 0;
+  bool same_ = false;
+  std::vector<std::int32_t> offset_;
+  std::vector<Mask> mask_;
+  // Per lowered row r = (channel, tap): its channel plane's in-sample
+  // offset, its tap's plane in offset_/mask_, and the tap's flat shift.
+  std::vector<std::size_t> chan_, tap_;
+  std::vector<std::ptrdiff_t> shift_;
+};
+
+/// dst[j] = v[j] & m[j] over 16 floats (m is 0 or all-ones per lane).
+inline void store_masked16(const float* v, const std::int32_t* m,
+                           float* dst) {
+#if defined(__SSE2__)
+  for (int h = 0; h < kTileCols; h += 4) {
+    _mm_storeu_ps(dst + h, _mm_and_ps(_mm_loadu_ps(v + h),
+                                      _mm_castsi128_ps(_mm_loadu_si128(
+                                          reinterpret_cast<const __m128i*>(
+                                              m + h)))));
+  }
+#else
+  for (int j = 0; j < kTileCols; ++j) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, v + j, sizeof(bits));
+    bits &= static_cast<std::uint32_t>(m[j]);
+    std::memcpy(dst + j, &bits, sizeof(bits));
+  }
+#endif
+}
+
+/// Pair-interleaves two masked 16-column tap rows into one [16][2]
+/// micro-panel k-pair: dst[2j] = r0[j] & m0[j], dst[2j+1] = r1[j] & m1[j].
 inline void interleave_masked_pair16(const std::int16_t* r0,
                                      const std::int16_t* m0,
                                      const std::int16_t* r1,
@@ -732,252 +586,66 @@ inline void interleave_masked_pair16(const std::int16_t* r0,
 #endif
 }
 
-constexpr std::int16_t kZeroRow[kTileCols] = {};
+/// The gathered B micro-panels of columns [p0, p0 + pn) for a depth-k
+/// lowering: [k][16] floats, or pair-interleaved [kpairs][16][2] int16
+/// (the phantom odd-k tap zero) — the layouts the float and integer
+/// micro-kernels consume.
+template <typename T>
+const T* gather_panel(const ImageGather<T>& plan, int k, int p0, int pn,
+                      std::vector<T>& scratch) {
+  constexpr bool kPairs = std::is_same_v<T, std::int16_t>;
+  const std::size_t bstride =
+      static_cast<std::size_t>(kPairs ? (k + 1) / 2 * 2 : k) * kTileCols;
+  const int tiles = (pn + kTileCols - 1) / kTileCols;
+  scratch.resize(static_cast<std::size_t>(tiles) * bstride);
+  static constexpr MaskOf<T> kZeroMask[kTileCols] = {};
+  static constexpr T kZeroRow[kTileCols] = {};
+  T tmp[2][kTileCols] = {};
+  for (int jt = 0; jt < tiles; ++jt) {
+    const auto w = plan.window(static_cast<std::size_t>(p0) + jt * kTileCols);
+    T* dst = scratch.data() + static_cast<std::size_t>(jt) * bstride;
+    if constexpr (kPairs) {
+      for (int r = 0; r < k; r += 2, dst += 2 * kTileCols) {
+        const auto even = plan.row(r, w, tmp[0]);
+        const auto odd = r + 1 < k
+                             ? plan.row(r + 1, w, tmp[1])
+                             : typename ImageGather<T>::Row{kZeroRow,
+                                                            kZeroMask};
+        interleave_masked_pair16(even.values, even.mask, odd.values,
+                                 odd.mask, dst);
+      }
+    } else {
+      for (int r = 0; r < k; ++r, dst += kTileCols) {
+        const auto row = plan.row(r, w, tmp[0]);
+        store_masked16(row.values, row.mask, dst);
+      }
+    }
+  }
+  return scratch.data();
+}
 
 }  // namespace
 
-void gemm_i16_lowered_ep(const PackedGemmA16& a, const std::int16_t* src,
-                         const LoweringGeometry& g, int batch, float* out,
-                         const GemmI16Epilogue& ep) {
-  const int m = a.m, k = a.k;
-  ODENET_CHECK(k == static_cast<int>(g.col_rows()),
-               "gemm_i16_lowered_ep: packed A k " << k
-                   << " != lowering rows " << g.col_rows());
-  ODENET_CHECK(batch > 0, "gemm_i16_lowered_ep needs a non-empty batch");
-  ODENET_CHECK((ep.scale == nullptr) == (ep.shift == nullptr),
-               "gemm_i16_lowered_ep: scale and shift are set together");
-  const int kk = g.kernel * g.kernel;
-  const int wo = g.out_w();
-  const std::size_t in_plane =
-      static_cast<std::size_t>(g.height) * static_cast<std::size_t>(g.width);
-  const std::size_t sample = static_cast<std::size_t>(g.channels) * in_plane;
-  const std::size_t image = sample * static_cast<std::size_t>(batch);
-  const std::size_t plane = g.col_cols();
-  const int n = static_cast<int>(plane * static_cast<std::size_t>(batch));
-  if (m == 0 || n == 0) return;
-  const int kp = a.kpairs();
-  const GemmKernels& kernels = active_gemm_kernels();
-  const int panels = (n + kPanelCols - 1) / kPanelCols;
+void pack_gemm_a(const float* a, int m, int k, PackedGemmA& out) {
+  ODENET_CHECK(m >= 0 && k >= 0, "bad pack_gemm_a dimensions");
+  out.m = m;
+  out.k = k;
   const int row_tiles = (m + kTileRows - 1) / kTileRows;
-
-  // Per-tap gather plan, shared read-only by every task. Stride-1 "same"
-  // geometry with tile-aligned planes: tap (kh, kw)'s lowered row is the
-  // input plane flat-shifted by (kh - pad) * W + (kw - pad), ANDed with
-  // the tap's mask plane (0 / -1 per output position) wherever the tap
-  // falls outside the image — two vector loads and an AND per 16
-  // columns. Every other geometry (stride 2, planes not a multiple of 16
-  // so tiles straddle samples, the ragged last tile) reads through the
-  // tap's offset plane: the in-sample source offset for each output
-  // position, or -1 outside the image.
-  const bool same = g.stride == 1 && g.out_h() == g.height &&
-                    wo == g.width && plane % kTileCols == 0;
-  std::vector<std::int16_t> mask;
-  std::vector<std::int32_t> offset;
-  if (same) {
-    mask.resize(static_cast<std::size_t>(kk) * plane);
-  } else {
-    offset.resize(static_cast<std::size_t>(kk) * plane);
-  }
-  // Per lowered row r = (channel, tap): the source offset of its channel
-  // plane (plus, for the same geometry, the tap's flat shift) and the
-  // start of its tap's mask/offset plane.
-  std::vector<std::ptrdiff_t> row_src(static_cast<std::size_t>(k));
-  std::vector<std::size_t> row_tap(static_cast<std::size_t>(k));
-  for (int r = 0; r < k; ++r) {
-    const int t = r % kk;
-    const std::ptrdiff_t flat_shift =
-        static_cast<std::ptrdiff_t>(t / g.kernel - g.pad) * g.width +
-        (t % g.kernel - g.pad);
-    row_src[static_cast<std::size_t>(r)] =
-        static_cast<std::ptrdiff_t>(static_cast<std::size_t>(r / kk) *
-                                    in_plane) +
-        (same ? flat_shift : 0);
-    row_tap[static_cast<std::size_t>(r)] = static_cast<std::size_t>(t) * plane;
-  }
-  for (int t = 0; t < kk; ++t) {
-    const int kh = t / g.kernel, kw = t % g.kernel;
-    for (std::size_t q = 0; q < plane; ++q) {
-      const int oh = static_cast<int>(q) / wo, ow = static_cast<int>(q) % wo;
-      const int ih = oh * g.stride - g.pad + kh;
-      const int iw = ow * g.stride - g.pad + kw;
-      const bool inside = ih >= 0 && ih < g.height && iw >= 0 && iw < g.width;
-      const std::size_t at = static_cast<std::size_t>(t) * plane + q;
-      if (same) {
-        mask[at] = inside ? std::int16_t{-1} : std::int16_t{0};
-      } else {
-        offset[at] = inside ? ih * g.width + iw : -1;
+  out.data.resize(static_cast<std::size_t>(row_tiles) *
+                  static_cast<std::size_t>(std::max(k, 1)) * kTileRows);
+  for (int t = 0; t < row_tiles; ++t) {
+    const int i0 = t * kTileRows;
+    const int mr = std::min(kTileRows, m - i0);
+    float* panel = out.data.data() +
+                   static_cast<std::size_t>(t) * k * kTileRows;
+    for (int p = 0; p < k; ++p) {
+      float* dst = panel + static_cast<std::size_t>(p) * kTileRows;
+      for (int i = 0; i < mr; ++i) {
+        dst[i] = a[(i0 + i) * static_cast<std::size_t>(k) + p];
       }
+      for (int i = mr; i < kTileRows; ++i) dst[i] = 0.0f;
     }
   }
-
-  // NCHW offset of output element (row, flat column col).
-  auto nchw = [&](int row, int col) {
-    const std::size_t ni = static_cast<std::size_t>(col) / plane;
-    return (ni * m + row) * plane +
-           (static_cast<std::size_t>(col) - ni * plane);
-  };
-
-  // Source and mask of tap row r for the 16 columns at (sample ni,
-  // position q0) of the same geometry. A window that would read past
-  // either end of the image buffer is gathered into `tmp` first — only
-  // its masked-in taps, which always lie inside — under an all-ones mask.
-  static constexpr std::int16_t kAllOnes[kTileCols] = {
-      -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1};
-  struct TapRow {
-    const std::int16_t* values;
-    const std::int16_t* mask;
-  };
-  auto same_row = [&](int r, std::size_t ni, std::size_t q0,
-                      std::int16_t* tmp) {
-    const std::int16_t* m16 =
-        mask.data() + row_tap[static_cast<std::size_t>(r)] + q0;
-    const std::ptrdiff_t at =
-        static_cast<std::ptrdiff_t>(ni * sample + q0) +
-        row_src[static_cast<std::size_t>(r)];
-    if (at >= 0 && at + kTileCols <= static_cast<std::ptrdiff_t>(image)) {
-      return TapRow{src + at, m16};
-    }
-    for (int j = 0; j < kTileCols; ++j) tmp[j] = m16[j] != 0 ? src[at + j] : 0;
-    return TapRow{tmp, kAllOnes};
-  };
-
-  // One task = one column panel x one row-tile span (run_panel_split).
-  // The panel's B micro-panels are gathered straight from the int16 image
-  // into task-local storage, two tap rows at a time, pair-interleaved —
-  // the values gemm_i16_tiled_pa packs from an im2col_batched_i16
-  // matrix, with phantom columns and the phantom odd-k tap zeroed.
-  auto run_span = [&](int pi, int t0, int t1) {
-    const int p0 = pi * kPanelCols;
-    const int pn = std::min(kPanelCols, n - p0);
-    const int tiles = (pn + kTileCols - 1) / kTileCols;
-    const std::size_t panel_stride =
-        static_cast<std::size_t>(kp) * kTileCols * 2;
-    static thread_local std::vector<std::int16_t> packed;
-    packed.resize(static_cast<std::size_t>(tiles) * panel_stride);
-    for (int jt = 0; jt < tiles; ++jt) {
-      const int col0 = p0 + jt * kTileCols;
-      std::int16_t* dst = packed.data() + jt * panel_stride;
-      if (same) {
-        const std::size_t ni = static_cast<std::size_t>(col0) / plane;
-        const std::size_t q0 = static_cast<std::size_t>(col0) - ni * plane;
-        std::int16_t tmp[2][kTileCols];
-        for (int p = 0; p < kp; ++p, dst += kTileCols * 2) {
-          const TapRow even = same_row(2 * p, ni, q0, tmp[0]);
-          const TapRow odd = 2 * p + 1 < k ? same_row(2 * p + 1, ni, q0, tmp[1])
-                                           : TapRow{kZeroRow, kZeroRow};
-          interleave_masked_pair16(even.values, even.mask, odd.values,
-                                   odd.mask, dst);
-        }
-        continue;
-      }
-      // General stride: per-column offsets; phantom columns past n read 0.
-      std::size_t base[kTileCols];
-      const std::int32_t* qoff[kTileCols];
-      for (int j = 0; j < kTileCols; ++j) {
-        const int col = std::min(col0 + j, n - 1);
-        const std::size_t ni = static_cast<std::size_t>(col) / plane;
-        base[j] = col0 + j < n ? ni * sample : image;
-        qoff[j] = offset.data() + (static_cast<std::size_t>(col) - ni * plane);
-      }
-      std::int16_t rows[2][kTileCols];
-      for (int p = 0; p < kp; ++p, dst += kTileCols * 2) {
-        for (int s = 0; s < 2; ++s) {
-          const int r = 2 * p + s;
-          if (r >= k) {
-            std::fill_n(rows[s], kTileCols, std::int16_t{0});
-            continue;
-          }
-          const std::int16_t* chan = src + row_src[static_cast<std::size_t>(r)];
-          const std::size_t tplane = row_tap[static_cast<std::size_t>(r)];
-          for (int j = 0; j < kTileCols; ++j) {
-            const std::int32_t off = qoff[j][tplane];
-            rows[s][j] = off >= 0 && base[j] < image
-                             ? chan[base[j] + static_cast<std::size_t>(off)]
-                             : std::int16_t{0};
-          }
-        }
-        interleave_masked_pair16(rows[0], kAllOnes, rows[1], kAllOnes, dst);
-      }
-    }
-    for (int t = t0; t < t1; ++t) {
-      const int i0 = t * kTileRows;
-      const int mr = std::min(kTileRows, m - i0);
-      const std::int16_t* apanel =
-          a.data.data() + static_cast<std::size_t>(t) * kp * kTileRows * 2;
-      // The ragged last row tile reads zero-padded coefficient copies.
-      float s4[kTileRows] = {}, b4[kTileRows] = {};
-      const float* scale4 = nullptr;
-      const float* shift4 = nullptr;
-      if (ep.scale != nullptr) {
-        std::copy_n(ep.scale + i0, mr, s4);
-        std::copy_n(ep.shift + i0, mr, b4);
-        scale4 = s4;
-        shift4 = b4;
-      }
-      for (int jt = 0; jt < tiles; ++jt) {
-        const int j0 = p0 + jt * kTileCols;
-        const int nr = std::min(kTileCols, n - j0);
-        const std::int16_t* bp = packed.data() + jt * panel_stride;
-        const std::size_t q0 = static_cast<std::size_t>(j0) % plane;
-        if (mr == kTileRows && nr == kTileCols && q0 + kTileCols <= plane) {
-          // The whole tile sits inside one sample: store NCHW directly.
-          const std::size_t off = nchw(i0, j0);
-          kernels.tile4x16_i16_ep(
-              apanel, bp, kp, out + off, plane, scale4, shift4,
-              ep.residual != nullptr ? ep.residual + off : nullptr, plane,
-              ep.round_shift, ep.frac_bits, ep.relu, ep.beta);
-          continue;
-        }
-        // Edge tile (ragged rows/columns, or straddling two samples): run
-        // the full kernel on a local tile and scatter the live corner.
-        float tile[kTileRows * kTileCols] = {};
-        if (ep.residual != nullptr) {
-          for (int i = 0; i < mr; ++i) {
-            for (int j = 0; j < nr; ++j) {
-              tile[i * kTileCols + j] = ep.residual[nchw(i0 + i, j0 + j)];
-            }
-          }
-        }
-        kernels.tile4x16_i16_ep(
-            apanel, bp, kp, tile, kTileCols, scale4, shift4,
-            ep.residual != nullptr ? tile : nullptr, kTileCols,
-            ep.round_shift, ep.frac_bits, ep.relu, ep.beta);
-        for (int i = 0; i < mr; ++i) {
-          for (int j = 0; j < nr; ++j) {
-            out[nchw(i0 + i, j0 + j)] = tile[i * kTileCols + j];
-          }
-        }
-      }
-    }
-  };
-  run_panel_split(m, k, n, panels, row_tiles, run_span);
-}
-
-void permute_channel_major_add(const float* src, float* dst, int batch,
-                               int channels, std::size_t plane) {
-  const std::size_t ncols = plane * static_cast<std::size_t>(batch);
-  const GemmKernels& kernels = active_gemm_kernels();
-  util::parallel_for(kernel_pool(), 0, static_cast<std::size_t>(batch),
-                     [&](std::size_t ni) {
-    for (int c = 0; c < channels; ++c) {
-      const std::size_t nchw =
-          (ni * static_cast<std::size_t>(channels) + c) * plane;
-      const std::size_t cmajor =
-          static_cast<std::size_t>(c) * ncols + ni * plane;
-      kernels.axpy_f32(1.0f, src + cmajor, dst + nchw, plane);
-    }
-  });
-}
-
-void gemm_tiled(const float* a, const float* b, float* c, int m, int k, int n,
-                bool accumulate) {
-  ODENET_CHECK(m >= 0 && k >= 0 && n >= 0, "bad gemm dimensions");
-  // Per-call A packing into recycled thread-local storage; layers that
-  // call repeatedly with fixed weights should cache a PackedGemmA and use
-  // gemm_tiled_pa directly (Conv2d/Linear do, keyed by weight version).
-  static thread_local PackedGemmA pa;
-  pack_gemm_a(a, m, k, pa);
-  gemm_tiled_pa(pa, b, c, n, accumulate);
 }
 
 void pack_gemm_b_nt(const float* bt, int k, int n, PackedGemmB& out) {
@@ -1003,66 +671,112 @@ void pack_gemm_b_nt(const float* bt, int k, int n, PackedGemmB& out) {
   }
 }
 
+void gemm_tiled(const float* a, const float* b, float* c, int m, int k, int n,
+                bool accumulate) {
+  ODENET_CHECK(m >= 0 && k >= 0 && n >= 0, "bad gemm dimensions");
+  // A is packed into storage this call owns, which every pool worker of
+  // the split reads through the captured reference.
+  PackedGemmA pa;
+  pack_gemm_a(a, m, k, pa);
+  // B source: each panel's rows copied into contiguous [k][16]
+  // micro-panels (one sequential pass over B). Rows of a wide B sit one
+  // page apart, so sweeping them once per row tile of A would thrash the
+  // TLB; packed, every micro-kernel read is sequential.
+  const std::size_t bstride = static_cast<std::size_t>(k) * kTileCols;
+  auto pack_rows = [&](int p0, int pn, std::vector<float>& s) {
+    const int tiles = (pn + kTileCols - 1) / kTileCols;
+    s.resize(static_cast<std::size_t>(tiles) * bstride);
+    for (int p = 0; p < k; ++p) {
+      const float* brow = b + static_cast<std::size_t>(p) * n + p0;
+      for (int jt = 0; jt < tiles; ++jt) {
+        const int nr = std::min(kTileCols, pn - jt * kTileCols);
+        float* dst = s.data() + jt * bstride +
+                     static_cast<std::size_t>(p) * kTileCols;
+        std::memcpy(dst, brow + jt * kTileCols, nr * sizeof(float));
+        std::fill(dst + nr, dst + kTileCols, 0.0f);
+      }
+    }
+    return static_cast<const float*>(s.data());
+  };
+  run_tiles<float>(m, k, n, bstride,
+                   TileOut{c, accumulate ? c : nullptr, m,
+                           static_cast<std::size_t>(n)},
+                   pack_rows, plain_tile(pa, accumulate));
+}
+
 void gemm_tiled_pb(const float* a, const PackedGemmB& b, float* c, int m,
                    bool accumulate) {
   ODENET_CHECK(m >= 0, "bad gemm dimensions");
-  const int k = b.k, n = b.n;
-  if (m == 0 || n == 0) return;
-  const GemmKernels& kernels = active_gemm_kernels();
-  const int col_tiles = (n + kTileCols - 1) / kTileCols;
-  const int row_tiles = (m + kTileRows - 1) / kTileRows;
-  // A is packed into storage this call owns: the worker lambda captures
-  // it by reference, so every pool worker reads the caller's panels.
   PackedGemmA pa;
-  pack_gemm_a(a, m, k, pa);
-
-  auto run_tiles = [&](int t0, int t1) {
-    // Edge tiles run the full-width kernel into a scratch tile (packed
-    // panels are zero-padded, so phantom lanes compute zeros) and copy the
-    // live mr x nr corner out — every k-loop is vectorized, which matters
-    // for the m = 1 single-request Linear.
-    float tile[kTileRows * kTileCols];
-    for (int t = t0; t < t1; ++t) {
-      const int i0 = t * kTileRows;
-      const int mr = std::min(kTileRows, m - i0);
-      const float* apanel = pa.data.data() +
-                            static_cast<std::size_t>(t) * k * kTileRows;
-      for (int jt = 0; jt < col_tiles; ++jt) {
-        const int j0 = jt * kTileCols;
-        const int nr = std::min(kTileCols, n - j0);
-        const float* bpanel = b.data.data() +
-                              static_cast<std::size_t>(jt) * k * kTileCols;
-        if (mr == kTileRows && nr == kTileCols) {
-          kernels.tile4x16(apanel, bpanel, k,
-                           c + (static_cast<std::size_t>(i0) * n + j0),
-                           static_cast<std::size_t>(n), accumulate);
-        } else {
-          kernels.tile4x16(apanel, bpanel, k, tile, kTileCols,
-                           /*accumulate=*/false);
-          for (int i = 0; i < mr; ++i) {
-            float* crow = c + (i0 + i) * static_cast<std::size_t>(n) + j0;
-            const float* trow = tile + i * kTileCols;
-            for (int j = 0; j < nr; ++j) {
-              crow[j] = accumulate ? crow[j] + trow[j] : trow[j];
-            }
-          }
-        }
-      }
-    }
+  pack_gemm_a(a, m, b.k, pa);
+  const std::size_t bstride = static_cast<std::size_t>(b.k) * kTileCols;
+  auto prepacked = [&](int p0, int, std::vector<float>&) {
+    return b.data.data() + static_cast<std::size_t>(p0 / kTileCols) * bstride;
   };
+  run_tiles<float>(m, b.k, b.n, bstride,
+                   TileOut{c, accumulate ? c : nullptr, m,
+                           static_cast<std::size_t>(b.n)},
+                   prepacked, plain_tile(pa, accumulate));
+}
 
-  const std::size_t flops = 2ull * static_cast<std::size_t>(m) *
-                            static_cast<std::size_t>(k) *
-                            static_cast<std::size_t>(n);
-  util::ThreadPool& pool = kernel_pool();
-  if (flops < gemm_parallel_min_flops() || pool.worker_count() <= 1) {
-    run_tiles(0, row_tiles);
-    return;
-  }
-  util::parallel_for(pool, 0, static_cast<std::size_t>(row_tiles),
-                     [&](std::size_t t) {
-    run_tiles(static_cast<int>(t), static_cast<int>(t) + 1);
-  });
+void gemm_lowered_ep(const PackedGemmA& a, const float* src,
+                     const LoweringGeometry& g, int batch, float* out,
+                     const GemmEpilogue& ep) {
+  const int m = a.m, k = a.k;
+  ODENET_CHECK(k == static_cast<int>(g.col_rows()),
+               "gemm_lowered_ep: packed A k " << k << " != lowering rows "
+                                              << g.col_rows());
+  ODENET_CHECK(batch > 0, "gemm_lowered_ep needs a non-empty batch");
+  const ImageGather<float> plan(src, g, batch);
+  const int n = static_cast<int>(g.col_cols() * static_cast<std::size_t>(batch));
+  const GemmKernels& kernels = active_gemm_kernels();
+  run_tiles<float>(
+      m, k, n, static_cast<std::size_t>(k) * kTileCols,
+      TileOut{out, ep.residual, m, g.col_cols()},
+      [&](int p0, int pn, std::vector<float>& s) {
+        return gather_panel(plan, k, p0, pn, s);
+      },
+      [&](int t, const float* bp, float* c, std::size_t ldc, const float* r,
+          std::size_t ldr) {
+        float s4[kTileRows] = {}, b4[kTileRows] = {};
+        const int i0 = t * kTileRows;
+        kernels.tile4x16_ep(
+            a.data.data() + static_cast<std::size_t>(t) * k * kTileRows, bp,
+            k, c, ldc, row_coeffs(ep.scale, i0, m, s4),
+            row_coeffs(ep.shift, i0, m, b4), ep.relu, r, ldr, ep.beta);
+      });
+}
+
+void gemm_i16_lowered_ep(const PackedGemmA16& a, const std::int16_t* src,
+                         const LoweringGeometry& g, int batch, float* out,
+                         const GemmI16Epilogue& ep) {
+  const int m = a.m, k = a.k;
+  ODENET_CHECK(k == static_cast<int>(g.col_rows()),
+               "gemm_i16_lowered_ep: packed A k " << k
+                   << " != lowering rows " << g.col_rows());
+  ODENET_CHECK(batch > 0, "gemm_i16_lowered_ep needs a non-empty batch");
+  ODENET_CHECK((ep.scale == nullptr) == (ep.shift == nullptr),
+               "gemm_i16_lowered_ep: scale and shift are set together");
+  const ImageGather<std::int16_t> plan(src, g, batch);
+  const int n = static_cast<int>(g.col_cols() * static_cast<std::size_t>(batch));
+  const int kp = a.kpairs();
+  const GemmKernels& kernels = active_gemm_kernels();
+  run_tiles<std::int16_t>(
+      m, k, n, static_cast<std::size_t>(kp) * kTileCols * 2,
+      TileOut{out, ep.residual, m, g.col_cols()},
+      [&](int p0, int pn, std::vector<std::int16_t>& s) {
+        return gather_panel(plan, k, p0, pn, s);
+      },
+      [&](int t, const std::int16_t* bp, float* c, std::size_t ldc,
+          const float* r, std::size_t ldr) {
+        float s4[kTileRows] = {}, b4[kTileRows] = {};
+        const int i0 = t * kTileRows;
+        kernels.tile4x16_i16_ep(
+            a.data.data() + static_cast<std::size_t>(t) * kp * kTileRows * 2,
+            bp, kp, c, ldc, row_coeffs(ep.scale, i0, m, s4),
+            row_coeffs(ep.shift, i0, m, b4), r, ldr, ep.round_shift,
+            ep.frac_bits, ep.relu, ep.beta);
+      });
 }
 
 void gemm_bt_tiled(const float* a, const float* b, float* c, int m, int k,
@@ -1096,23 +810,6 @@ void gemm_bt_tiled(const float* a, const float* b, float* c, int m, int k,
     return;
   }
   util::parallel_for(pool, 0, static_cast<std::size_t>(row_tiles), run_tile);
-}
-
-void gemm_bt(const float* a, const float* b, float* c, int m, int k, int n,
-             bool accumulate) {
-  // B stored [n, k]: B^T[p, j] = b[j*k + p].
-  util::parallel_for(0, static_cast<std::size_t>(m), [&](std::size_t i) {
-    float* crow = c + i * n;
-    const float* arow = a + i * k;
-    for (int j = 0; j < n; ++j) {
-      double acc = accumulate ? crow[j] : 0.0;
-      const float* bcol = b + static_cast<std::size_t>(j) * k;
-      for (int p = 0; p < k; ++p) {
-        acc += static_cast<double>(arow[p]) * bcol[p];
-      }
-      crow[j] = static_cast<float>(acc);
-    }
-  });
 }
 
 }  // namespace odenet::core

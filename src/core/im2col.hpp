@@ -1,10 +1,24 @@
-// im2col / col2im lowering and a small GEMM — the fast software
-// convolution path (Conv2d's kIm2col algorithm).
+// Convolution lowering and the one tiled GEMM driver behind every conv and
+// Linear layer.
 //
-// im2col unfolds each KxK receptive field of a [C,H,W] plane stack into a
-// column of a [C*K*K, Ho*Wo] matrix so convolution becomes one matrix
-// product with the [Cout, C*K*K] weight view. col2im is its adjoint
-// (scatter-add), used for the input gradient.
+// The driver (im2col.cpp run_tiles) sweeps 4x16 micro-kernel tiles column
+// panel by column panel on one panel x row-block thread split, and has two
+// variation points:
+//  * where B micro-panels come from — copied from a row-major B
+//    (gemm_tiled: the backward dX products), pre-packed (gemm_tiled_pb:
+//    Linear), or gathered straight from an NCHW image through one per-tap
+//    mask/offset plan (gemm_lowered_ep / gemm_i16_lowered_ep: every
+//    inference conv, any geometry — the column matrix is never
+//    materialized);
+//  * how a tile is stored — plain or accumulating, through a float
+//    GemmEpilogue, or through the integer GemmI16Epilogue.
+// Edge tiles (ragged rows or columns, or tiles that straddle two samples)
+// run the same full kernel into a local tile, so every output element is
+// computed the same way wherever it sits: outputs are bitwise independent
+// of tiling, B source and thread split.
+//
+// The explicit lowering (im2col_batched, col2im_batched) remains for the
+// training backward pass and as a test oracle.
 #pragma once
 
 #include <cstddef>
@@ -34,25 +48,23 @@ struct LoweringGeometry {
   }
 };
 
-/// dst must hold col_rows() * col_cols() floats. Out-of-image taps read 0.
-void im2col(const float* src, const LoweringGeometry& g, float* dst);
-
-/// Adjoint of im2col: scatter-adds cols back into a [C,H,W] image buffer.
-/// dst must be zero-initialized by the caller (or hold a partial sum).
-void col2im(const float* cols, const LoweringGeometry& g, float* dst);
-
 /// Batched lowering: unfolds a whole [N,C,H,W] batch into ONE column
 /// matrix [col_rows(), N * col_cols()], sample n occupying the contiguous
-/// column block [n * col_cols(), (n+1) * col_cols()). Convolving the batch
-/// is then a single GEMM with the [Cout, C*K*K] weight view — the lowering
-/// the batched Conv2d fast path is built on. Parallelized over samples.
+/// column block [n * col_cols(), (n+1) * col_cols()). Out-of-image taps
+/// read 0. Parallelized over samples; each sample writes only its block.
 void im2col_batched(const float* src, const LoweringGeometry& g, int batch,
                     float* dst);
 
-/// Same batched lowering over pre-quantized int16 activations — the input
-/// side of the fixed backend's integer GEMM. Lowering the [N,C,H,W] int16
-/// image instead of quantizing the lowered matrix does the quantize pass
-/// once per pixel instead of once per K*K-replicated column entry.
+/// One [C,H,W] sample lowered into a column block of a wider matrix:
+/// lowered row r is written to dst[r * row_stride, r * row_stride +
+/// col_cols()) and nothing else is touched (row_stride >= col_cols()).
+/// im2col_batched runs one of these per sample in parallel, so a write
+/// outside the block would race with the neighbouring sample's task.
+void im2col_block(const float* src, const LoweringGeometry& g,
+                  std::size_t row_stride, float* dst);
+
+/// Same batched lowering over int16 activations (the integer GEMM's
+/// explicit-lowering oracle).
 void im2col_batched_i16(const std::int16_t* src, const LoweringGeometry& g,
                         int batch, std::int16_t* dst);
 
@@ -69,45 +81,24 @@ void col2im_batched(const float* cols, const LoweringGeometry& g, int batch,
 void permute_channel_major(const float* src, float* dst, int batch,
                            int channels, std::size_t plane, bool to_nchw);
 
-/// C[m,n] (+)= A[m,k] * B[k,n], row-major. When accumulate is false C is
-/// overwritten. Parallelized over rows of C.
-void gemm(const float* a, const float* b, float* c, int m, int k, int n,
-          bool accumulate);
-
 /// C[m,n] (+)= A^T[m,k] * B[k,n] where A is stored [k,m] row-major.
 void gemm_at(const float* a, const float* b, float* c, int m, int k, int n,
              bool accumulate);
 
-/// C[m,n] (+)= A[m,k] * B^T[k,n] where B is stored [n,k] row-major.
-void gemm_bt(const float* a, const float* b, float* c, int m, int k, int n,
-             bool accumulate);
-
-/// Register-blocked A*B^T: same contract as gemm_bt() (C[m,n] (+)= A[m,k]
-/// * B^T with B stored [n,k] row-major) but row-quad tiled — each B row is
-/// streamed once per four rows of C instead of once per row, and every dot
-/// product runs over eight partial accumulators so it vectorizes. Used by
-/// the batched conv backward for dW, where k is the long n*Ho*Wo axis.
-/// Partial-sum order differs from gemm_bt (which accumulates in double);
-/// results agree to normal float tolerance.
+/// Register-blocked A*B^T: C[m,n] (+)= A[m,k] * B^T with B stored [n,k]
+/// row-major, row-quad tiled — each B row is streamed once per four rows
+/// of C, and every dot product runs over eight partial accumulators so it
+/// vectorizes. Used by the batched conv backward for dW, where k is the
+/// long n*Ho*Wo axis.
 void gemm_bt_tiled(const float* a, const float* b, float* c, int m, int k,
                    int n, bool accumulate);
-
-/// Register-blocked GEMM: same contract as gemm() (C[m,n] (+)= A[m,k] *
-/// B[k,n], row-major, accumulation over k in ascending order) but computed
-/// through an MR x NR micro-kernel that keeps an output tile in registers
-/// and reuses each loaded B row across MR rows of A. On the long column
-/// dimension of a batched im2col lowering (n = N*Ho*Wo) this cuts B-stream
-/// traffic and loop overhead by ~MR x versus the rank-1-update gemm(), which
-/// is what makes one big GEMM beat N small ones even on a single core.
-void gemm_tiled(const float* a, const float* b, float* c, int m, int k, int n,
-                bool accumulate);
 
 /// A [m,k] matrix repacked into the row-panel layout the 4x16 micro-kernel
 /// consumes: [ceil(m/4)] panels of [k][4] (panel t holds rows 4t..4t+3,
 /// k-major so the kernel reads 4 contiguous A values per k step). Edge
 /// rows past m are zero-padded, so a full-width kernel run over the last
 /// panel computes zeros for the phantom rows. This is the once-per-layer
-/// packed-weight format Conv2d/Linear cache across calls.
+/// packed-weight format Conv2d caches across calls.
 struct PackedGemmA {
   std::vector<float> data;
   int m = 0;
@@ -118,81 +109,6 @@ struct PackedGemmA {
 
 /// Packs row-major A[m,k] into `out` (storage recycled across calls).
 void pack_gemm_a(const float* a, int m, int k, PackedGemmA& out);
-
-/// C[m,n] (+)= A * B[k,n] with A pre-packed: gemm_tiled with the A-side
-/// packing hoisted out, so steady-state serving packs each weight matrix
-/// once instead of once per call. Identical summation order to
-/// gemm_tiled() under the scalar kernels.
-void gemm_tiled_pa(const PackedGemmA& a, const float* b, float* c, int n,
-                   bool accumulate);
-
-/// Epilogue applied to every output element of gemm_tiled_pa_ep while the
-/// tile is still in registers, in this fixed order:
-///   t = acc * scale[i] + shift[i]   (each part skipped when null; i is
-///                                    the output ROW, i.e. the conv's out
-///                                    channel)
-///   t = max(t, 0)                   (when relu)
-///   t = t + beta * residual[i*n+j]  (when residual != nullptr)
-/// residual shares C's [m,n] layout and MAY alias c — each tile reads its
-/// own residual window before storing, so in-place `c = ep(A*B) + beta*c`
-/// (the Euler update z += h*f(z)) is safe under any thread split.
-struct GemmEpilogue {
-  const float* scale = nullptr;  // per-row multipliers [m]
-  const float* shift = nullptr;  // per-row addends [m]
-  bool relu = false;
-  const float* residual = nullptr;  // [m,n], may alias c
-  float beta = 1.0f;
-};
-
-/// gemm_tiled_pa with the epilogue fused into the micro-kernel's store:
-/// C[m,n] = ep(A * B[k,n]). Always overwrites (residual IS the accumulate
-/// path). The GEMM summation order is identical to gemm_tiled_pa, and the
-/// epilogue arithmetic is bitwise identical to running the unfused GEMM
-/// followed by the standalone elementwise kernels, on either ISA.
-void gemm_tiled_pa_ep(const PackedGemmA& a, const float* b, float* c, int n,
-                      const GemmEpilogue& ep);
-
-/// True when gemm_tiled_pa_ep_lowered can run the lowering implicitly:
-/// stride-1 "same" geometry (out extents == in extents), plane a multiple
-/// of the 16-column micro-tile (so no B micro-panel straddles a sample
-/// boundary), and m a multiple of the 4-row micro-tile (so no ragged edge
-/// ever needs a materialized column matrix).
-bool gemm_implicit_lowering_ok(const LoweringGeometry& g, int m);
-
-/// gemm_tiled_pa_ep with the im2col itself folded into the B-panel pack:
-/// instead of materializing the [C*K*K, N*plane] column matrix and copying
-/// it into micro-panels, each panel row is gathered straight from the
-/// [N,C,H,W] image (shifted plane copy + zeroed out-of-image taps). Packed
-/// panel values, summation order, and epilogue are identical to the
-/// explicit im2col_batched + gemm_tiled_pa_ep composition, so results are
-/// bitwise equal on either ISA and under any thread split — the fused
-/// inference path just skips one full write + read of the column matrix.
-/// Requires gemm_implicit_lowering_ok(g, a.m) and a.k == g.col_rows().
-void gemm_tiled_pa_ep_lowered(const PackedGemmA& a, const float* src,
-                              const LoweringGeometry& g, int batch, float* c,
-                              const GemmEpilogue& ep);
-
-/// The fixed backend's fused int16 convolution: out = ep(A16 * lower(src))
-/// with the lowering implicit. src is the int16 [batch, C, H, W] image
-/// (g.channels = C, the time plane included); out and ep.residual are NCHW
-/// [batch, a.m, out_h, out_w] float (residual may alias out). Each column
-/// panel's pair-interleaved B micro-panels are gathered straight from src
-/// — no column matrix, no separate re-pack — and every 4x16 tile runs
-/// tile4x16_i16_ep, storing NCHW in place (tiles that straddle samples or
-/// ragged edges go through a local tile). Any geometry and batch; the
-/// int32 accumulators equal gemm_i16_tiled_pa over im2col_batched_i16, so
-/// the output is bitwise identical to quantize -> lower -> GEMM ->
-/// requantize -> permute -> BN -> qdq -> ReLU -> axpy -> qdq as passes,
-/// on either ISA and under any thread split. a.k must be g.col_rows().
-void gemm_i16_lowered_ep(const PackedGemmA16& a, const std::int16_t* src,
-                         const LoweringGeometry& g, int batch, float* out,
-                         const GemmI16Epilogue& ep);
-
-/// permute_channel_major(to_nchw=true) fused with an axpy: NCHW dst +=
-/// channel-major src (the batched fused conv's residual accumulation).
-/// src and dst must not alias. Parallelized over samples.
-void permute_channel_major_add(const float* src, float* dst, int batch,
-                               int channels, std::size_t plane);
 
 /// B^T stored [n,k] row-major (a Linear weight [out,in]) repacked into the
 /// column-panel layout the micro-kernel consumes: [ceil(n/16)] panels of
@@ -208,11 +124,58 @@ struct PackedGemmB {
 /// Packs `bt` (stored [n,k] row-major, i.e. B transposed) into `out`.
 void pack_gemm_b_nt(const float* bt, int k, int n, PackedGemmB& out);
 
+/// C[m,n] (+)= A[m,k] * B[k,n], all row-major, through the tiled driver
+/// with B copied panel by panel (k-ascending accumulation per element).
+/// A is packed per call into storage the call owns.
+void gemm_tiled(const float* a, const float* b, float* c, int m, int k, int n,
+                bool accumulate);
+
 /// C[m,n] (+)= A[m,k] * B with B pre-packed (the Linear forward product
-/// X * W^T with W packed once per version). A is packed per call into
-/// storage the call owns, which every pool worker of the row-tile split
-/// reads.
+/// X * W^T with W packed once per version).
 void gemm_tiled_pb(const float* a, const PackedGemmB& b, float* c, int m,
                    bool accumulate);
+
+/// Epilogue applied to every output element of gemm_lowered_ep while the
+/// tile is still in registers, in this fixed order:
+///   t = acc * scale[i] + shift[i]   (each part skipped when null; i is
+///                                    the output ROW, i.e. the conv's out
+///                                    channel)
+///   t = max(t, 0)                   (when relu)
+///   t = t + beta * residual[...]    (when residual != nullptr)
+/// residual shares the output's layout and MAY alias it — each tile reads
+/// its own residual window before storing, so in-place `out = ep(conv) +
+/// beta*out` (the Euler update z += h*f(z)) is safe under any thread
+/// split. A default-constructed epilogue is the identity (plain conv).
+struct GemmEpilogue {
+  const float* scale = nullptr;  // per-row multipliers [m]
+  const float* shift = nullptr;  // per-row addends [m]
+  bool relu = false;
+  const float* residual = nullptr;  // output layout, may alias it
+  float beta = 1.0f;
+};
+
+/// The float convolution: out = ep(A * lower(src)) with the lowering
+/// implicit. src is the [batch, C, H, W] image (g.channels = C, a time
+/// plane included); out and ep.residual are NCHW [batch, a.m, out_h,
+/// out_w]. Any geometry and batch; a.k must be g.col_rows(). The values
+/// gathered are exactly the columns im2col_batched materializes and the
+/// epilogue arithmetic is contraction-free, so the output is bitwise the
+/// explicit im2col_batched -> GEMM -> permute -> elementwise-passes chain,
+/// on either ISA and under any thread split.
+void gemm_lowered_ep(const PackedGemmA& a, const float* src,
+                     const LoweringGeometry& g, int batch, float* out,
+                     const GemmEpilogue& ep);
+
+/// The fixed backend's int16 convolution, the integer twin of
+/// gemm_lowered_ep: out = ep(A16 * lower(src)) over an int16 image, the
+/// pair-interleaved B micro-panels gathered by the same plan, every tile
+/// running tile4x16_i16_ep and storing NCHW float. The int32 accumulators
+/// equal gemm_i16_tiled_pa over im2col_batched_i16, so the output is
+/// bitwise identical to quantize -> lower -> GEMM -> requantize -> permute
+/// -> BN -> qdq -> ReLU -> axpy -> qdq as passes, on either ISA and under
+/// any thread split. a.k must be g.col_rows().
+void gemm_i16_lowered_ep(const PackedGemmA16& a, const std::int16_t* src,
+                         const LoweringGeometry& g, int batch, float* out,
+                         const GemmI16Epilogue& ep);
 
 }  // namespace odenet::core

@@ -98,10 +98,9 @@ int FixedStageExecutor::int16_act_frac_bits(float max_abs,
   return fa;
 }
 
-FixedStageExecutor::FixedStageExecutor(int frac_bits, FixedConvPath conv_path)
+FixedStageExecutor::FixedStageExecutor(int frac_bits)
     : name_("fixed_cpu_q" + std::to_string(frac_bits)),
-      frac_bits_(frac_bits),
-      conv_path_(conv_path) {}
+      frac_bits_(frac_bits) {}
 
 FixedStageExecutor::QuantizedWeights& FixedStageExecutor::cache_entry(
     const core::Conv2d& conv) {
@@ -137,10 +136,8 @@ void FixedStageExecutor::fixed_conv(core::Conv2d& conv, const core::Tensor& x,
   const core::LoweringGeometry g{.channels = ci, .height = h, .width = w,
                                  .kernel = cfg.kernel, .stride = cfg.stride,
                                  .pad = cfg.pad};
-  const int ho = g.out_h(), wo = g.out_w();
   const int co = cfg.out_channels;
   const int kk = static_cast<int>(g.col_rows());
-  const std::size_t cc = g.col_cols();
 
   // Quantized packed weights, cached per snapshot version: a hot-swap
   // re-stamps the conv's weight version and the key mismatch triggers one
@@ -150,28 +147,23 @@ void FixedStageExecutor::fixed_conv(core::Conv2d& conv, const core::Tensor& x,
   const std::uint64_t version = conv.weight_version();
   if (!entry.valid || version == 0 || entry.version != version) {
     const core::Tensor& wt = conv.weight().value;
-    entry.i16_ok = false;
-    if (conv_path_ == FixedConvPath::kBatched) {
-      const int fw = int16_weight_frac_bits(wt, frac_bits_);
-      if (fw > 0) {
-        entry.i16_ok = true;
-        entry.weight_frac_bits = fw;
-        static thread_local std::vector<std::int16_t> wq;
-        wq.resize(wt.numel());
-        fixed::quantize_i16(wt.data(), wq.data(), wt.numel(), fw);
-        core::pack_gemm_a_i16(wq.data(), co, kk, entry.packed16);
-      }
+    const int fw = int16_weight_frac_bits(wt, frac_bits_);
+    entry.i16_ok = fw > 0;
+    if (entry.i16_ok) {
+      entry.weight_frac_bits = fw;
+      static thread_local std::vector<std::int16_t> wq;
+      wq.resize(wt.numel());
+      fixed::quantize_i16(wt.data(), wq.data(), wt.numel(), fw);
+      core::pack_gemm_a_i16(wq.data(), co, kk, entry.packed16);
     }
-    // The float-carrier representation is always built: it backs
-    // kBatchedFloat/kPerSample, and the per-call fallback when a call's
-    // activation range leaves no valid requantization shift.
-    entry.values.resize(wt.numel());
+    // The float-carrier weights are always built: they back the per-call
+    // fallback when a call's activation range leaves no valid shift.
+    static thread_local std::vector<float> wv;
+    wv.resize(wt.numel());
     for (std::size_t i = 0; i < wt.numel(); ++i) {
-      entry.values[i] = fixed::qdq_value(wt.data()[i], frac_bits_);
+      wv[i] = fixed::qdq_value(wt.data()[i], frac_bits_);
     }
-    if (conv_path_ != FixedConvPath::kPerSample) {
-      core::pack_gemm_a(entry.values.data(), co, kk, entry.packed);
-    }
+    core::pack_gemm_a(wv.data(), co, kk, entry.packed);
     entry.version = version;
     entry.valid = true;
     ++weight_packs_;
@@ -189,7 +181,7 @@ void FixedStageExecutor::fixed_conv(core::Conv2d& conv, const core::Tensor& x,
   // the scale — and everything downstream — is deterministic for any ISA
   // or worker count.
   int fa = -1;
-  if (conv_path_ == FixedConvPath::kBatched && entry.i16_ok) {
+  if (entry.i16_ok) {
     float mx = fixed::max_abs(x.data(), x.numel());
     if (cfg.time_channel) mx = std::max(mx, std::fabs(tq));
     fa = int16_act_frac_bits(mx, entry.weight_frac_bits, frac_bits_);
@@ -220,10 +212,10 @@ void FixedStageExecutor::fixed_conv(core::Conv2d& conv, const core::Tensor& x,
     return;
   }
 
-  // Float carrier (kBatchedFloat, kPerSample, and the kBatched fallback
-  // when a conv fails the int16 envelope or a call's range leaves no
-  // valid shift): the float GEMM over the time-augmented input, one
-  // requantization of its output, then the epilogue as passes.
+  // Float carrier (a conv that fails the int16 envelope, or a call whose
+  // range leaves no valid shift): the same driver's float conv over the
+  // time-augmented input, one requantization of its output, then the
+  // epilogue as passes.
   core::Tensor aug;
   const core::Tensor* in = &x;
   if (cfg.time_channel) {
@@ -235,40 +227,9 @@ void FixedStageExecutor::fixed_conv(core::Conv2d& conv, const core::Tensor& x,
     }
     in = &aug;
   }
-  core::Tensor y({n, co, ho, wo});
-  const std::size_t ncols = cc * static_cast<std::size_t>(n);
-  if (conv_path_ != FixedConvPath::kPerSample) {
-    // Whole-batch lowering + one packed GEMM, scratch from the conv's
-    // recycled arena.
-    core::ScratchArena& arena = conv.lowering_arena();
-    if (n == 1) {
-      arena.frame(static_cast<std::size_t>(kk) * ncols);
-      float* cols = arena.alloc(static_cast<std::size_t>(kk) * ncols);
-      core::im2col_batched(in->data(), g, n, cols);
-      core::gemm_tiled_pa(entry.packed, cols, y.data(),
-                          static_cast<int>(ncols), /*accumulate=*/false);
-    } else {
-      arena.frame(static_cast<std::size_t>(kk) * ncols +
-                  static_cast<std::size_t>(co) * ncols);
-      float* cols = arena.alloc(static_cast<std::size_t>(kk) * ncols);
-      float* cm = arena.alloc(static_cast<std::size_t>(co) * ncols);
-      core::im2col_batched(in->data(), g, n, cols);
-      core::gemm_tiled_pa(entry.packed, cols, cm, static_cast<int>(ncols),
-                          /*accumulate=*/false);
-      core::permute_channel_major(cm, y.data(), n, co, cc, /*to_nchw=*/true);
-    }
-  } else {
-    // Per-sample comparator: fresh scratch, one lowering and one
-    // rank-1-update GEMM per sample — the pre-batching fixed path.
-    std::vector<float> cols(g.col_rows() * cc);
-    const std::size_t out_sample = static_cast<std::size_t>(co) * ho * wo;
-    for (int ni = 0; ni < n; ++ni) {
-      core::im2col(in->data() + ni * aug_sample, g, cols.data());
-      core::gemm(entry.values.data(), cols.data(),
-                 y.data() + ni * out_sample, co, kk, static_cast<int>(cc),
-                 /*accumulate=*/false);
-    }
-  }
+  core::Tensor y({n, co, g.out_h(), g.out_w()});
+  core::gemm_lowered_ep(entry.packed, in->data(), g, n, y.data(),
+                        core::GemmEpilogue{});
   fixed::qdq_inplace(y, frac_bits_);
   apply_epilogue(y, ep, out);
 }

@@ -62,42 +62,28 @@ class FloatStageExecutor final : public StageExecutor {
   CostModel modeled_seconds_;
 };
 
-/// How FixedStageExecutor lowers its convolutions.
-///  * kBatched (default): the fused INTEGER path — each conv input
-///    quantizes once into an int16 [N, C(+time), H, W] image at a per-call
-///    dynamic precision (the finest grid that cannot saturate the
-///    observed range), and one packed int16 GEMM (core::
-///    gemm_i16_lowered_ep) gathers its pair-interleaved B panels straight
-///    from that image, accumulates into int32 and runs the whole
-///    epilogue in the 4x16 tile: one rounding shift (round half away from
-///    zero, the Fixed::operator* semantics) onto the Q(frac_bits) grid,
-///    the folded BN affine, Q-grid rounding, ReLU after conv1, and after
-///    conv2 the Euler update z = qdq(z + h*f) in place or the shortcut
-///    add + qdq — stored NCHW. Bitwise identical to running those ops as
-///    separate passes. Per-conv weight scales keep the int32 accumulators
-///    overflow-free; a conv (or a single call) whose weights or
-///    activation range cannot satisfy the envelope at the requested
-///    frac_bits falls back to the float-carrier arithmetic below,
-///    transparently.
-///  * kBatchedFloat: the float-carrier comparator — batched lowering and
-///    packed GEMM over qdq'd float operands, float accumulate, one
-///    post-GEMM requantize, then the same epilogue as elementwise passes.
-///    Kept for the int16-vs-float A/B bench rows and parity tests.
-///  * kPerSample: the pre-batching comparator — one lowering and one
-///    rank-1-update GEMM per sample, float carrier. Kept for parity tests
-///    and the batched-vs-per-sample benchmark rows.
-enum class FixedConvPath { kBatched, kBatchedFloat, kPerSample };
-
 /// Q-format fixed-point CPU backend: quantizes the weights AND saturates
-/// every stage-internal feature map to Qx.frac_bits, running convolutions
-/// through its own lowering. The default kBatched path is a fused
-/// INTEGER datapath — int16 operands, int32 accumulate, one rounding
-/// shift back to the Q grid with BN/ReLU/Euler folded into the same tile
-/// (the paper's conv engine and BN engine back to back, like a DSP-block
-/// MAC array with a wide accumulator followed by a rounding stage); see
-/// FixedConvPath for the float-carrier comparators. BN folds into the
-/// tile when it normalizes with running statistics; batch-statistics BN
-/// (training mode, or the hardware per-image BN mode) depends on the
+/// every stage-internal feature map to Qx.frac_bits. Every conv runs the
+/// fused INTEGER datapath — the paper's conv engine and BN engine back to
+/// back, like a DSP-block MAC array with a wide accumulator followed by a
+/// rounding stage: the conv input quantizes once into an int16 [N,
+/// C(+time), H, W] image at a per-call dynamic precision (the finest grid
+/// that cannot saturate the observed range), and one core::
+/// gemm_i16_lowered_ep call — the tiled GEMM driver with its B panels
+/// gathered straight from that image — accumulates into int32 and runs
+/// the whole epilogue in the 4x16 tile: one rounding shift (round half
+/// away from zero, the Fixed::operator* semantics) onto the Q(frac_bits)
+/// grid, the folded BN affine, Q-grid rounding, ReLU after conv1, and
+/// after conv2 the Euler update z = qdq(z + h*f) in place or the shortcut
+/// add + qdq — stored NCHW. Bitwise identical to running those ops as
+/// separate passes. Per-conv weight scales keep the int32 accumulators
+/// overflow-free; a conv (or a single call) whose weights or activation
+/// range leave no valid requantization shift at the requested frac_bits
+/// falls back, transparently and per call, to the float carrier: the
+/// same driver's float conv (gemm_lowered_ep) over qdq'd operands, one
+/// requantization, then the epilogue as elementwise passes. BN folds into
+/// the tile when it normalizes with running statistics; batch-statistics
+/// BN (training mode, or the hardware per-image BN mode) depends on the
 /// whole conv output and runs as its own pass after the conv's
 /// requantization. Quantized packed weights are cached per conv — keyed
 /// by Conv2d::uid() + snapshot weight version, LRU-capped — so serving
@@ -107,8 +93,7 @@ enum class FixedConvPath { kBatched, kBatchedFloat, kPerSample };
 /// configured software solver.
 class FixedStageExecutor final : public StageExecutor {
  public:
-  explicit FixedStageExecutor(int frac_bits = 20,
-                              FixedConvPath conv_path = FixedConvPath::kBatched);
+  explicit FixedStageExecutor(int frac_bits = 20);
 
   const std::string& name() const override { return name_; }
   core::ExecBackend backend() const override {
@@ -118,7 +103,6 @@ class FixedStageExecutor final : public StageExecutor {
                    core::StageRunStats* stats) override;
 
   int frac_bits() const { return frac_bits_; }
-  FixedConvPath conv_path() const { return conv_path_; }
 
   /// Times a conv's weights were quantized + packed (cache observable).
   std::uint64_t weight_packs() const { return weight_packs_; }
@@ -171,7 +155,7 @@ class FixedStageExecutor final : public StageExecutor {
   void conv_bn(core::Conv2d& conv, core::BatchNorm2d& bn,
                const core::Tensor& x, float t, core::GemmI16Epilogue ep,
                core::Tensor& out);
-  /// One convolution through the fixed lowering (see FixedConvPath) with
+  /// One convolution (int16 datapath, or the float-carrier fallback) with
   /// `ep` applied to its Q(frac_bits) output, into the pre-shaped `out`
   /// (which ep.residual may alias). ep's round_shift/frac_bits are set
   /// here.
@@ -190,8 +174,7 @@ class FixedStageExecutor final : public StageExecutor {
     std::uint64_t version = 0;
     bool valid = false;
     std::uint64_t last_use = 0;     // LRU tick for capacity eviction
-    std::vector<float> values;      // Q-grid weight values (float carrier)
-    core::PackedGemmA packed;       // the same, packed for the tiled GEMM
+    core::PackedGemmA packed;       // Q-grid weights (float carrier)
     // Integer path: per-conv weight scale + pair-interleaved int16 panels.
     bool i16_ok = false;            // envelope satisfied at this frac_bits
     int weight_frac_bits = 0;       // fw: weights are Q(fw) in int16
@@ -203,7 +186,6 @@ class FixedStageExecutor final : public StageExecutor {
 
   std::string name_;
   int frac_bits_;
-  FixedConvPath conv_path_;
   /// Keyed by Conv2d::uid() — stable, never-recycled layer identity. A
   /// raw-pointer key would alias when a new conv is allocated at a
   /// recycled address with a matching snapshot version (replica churn).
@@ -211,9 +193,8 @@ class FixedStageExecutor final : public StageExecutor {
   std::size_t wcache_capacity_ = 256;
   std::uint64_t use_tick_ = 0;
   std::uint64_t weight_packs_ = 0;
-  // Recycled int16 input image of the integer conv path (the float path
-  // draws from the conv's ScratchArena), grown once to the high-water
-  // mark, and the current conv's folded BN coefficients.
+  // Recycled int16 input image of the integer conv path, grown once to
+  // the high-water mark, and the current conv's folded BN coefficients.
   std::vector<std::int16_t> i16_scratch_;
   std::vector<float> bn_scale_, bn_shift_;
 };

@@ -75,7 +75,7 @@ class Network final : public core::Layer {
   void for_each_batchnorm(const std::function<void(core::BatchNorm2d&)>& fn);
 
   /// Switches the software convolution algorithm of every conv layer
-  /// (batched im2col, per-sample im2col, or direct; see core::ConvAlgo).
+  /// (the batched GEMM driver or direct; see core::ConvAlgo).
   void set_conv_algo(core::ConvAlgo algo);
 
   /// Stamps a snapshot version on every packed-weight-caching layer (all

@@ -128,7 +128,6 @@ std::unique_ptr<InferenceEngine::Worker> InferenceEngine::build_worker(
   worker->net->apply_snapshot(snapshot);
   worker->applied_version = snapshot.version();
   worker->net->set_training(false);
-  worker->net->set_conv_algo(cfg.conv_algo);
   if (cfg.per_image_batch_norm) {
     for (auto& stage : worker->net->stages()) {
       if (!stage->is_empty() && stage->is_ode()) {
@@ -142,12 +141,8 @@ std::unique_ptr<InferenceEngine::Worker> InferenceEngine::build_worker(
       worker->plan = models::StagePlan(&worker->float_exec);
       break;
     case core::ExecBackend::kFixed:
-      worker->fixed_exec = std::make_unique<models::FixedStageExecutor>(
-          cfg.frac_bits,
-          cfg.conv_algo == core::ConvAlgo::kIm2colPerSample
-              ? models::FixedConvPath::kPerSample
-              : (cfg.fixed_float_carrier ? models::FixedConvPath::kBatchedFloat
-                                         : models::FixedConvPath::kBatched));
+      worker->fixed_exec =
+          std::make_unique<models::FixedStageExecutor>(cfg.frac_bits);
       worker->plan = models::StagePlan(worker->fixed_exec.get());
       break;
     case core::ExecBackend::kFpgaSim: {

@@ -84,15 +84,6 @@ struct BackendConfig {
   /// backend (see sched/fpga_executor.hpp); kFpgaSim aligns its own
   /// offloaded stages regardless.
   bool per_image_batch_norm = false;
-  /// Software convolution algorithm of this backend's replicas. The
-  /// batched default turns each micro-batch into one im2col + one GEMM;
-  /// kIm2colPerSample restores the pre-batching path (kept for A/B
-  /// benchmarking).
-  core::ConvAlgo conv_algo = core::ConvAlgo::kIm2col;
-  /// kFixed only: run the batched conv on the PR 6 float-carrier
-  /// arithmetic (qdq'd float operands + float accumulate) instead of the
-  /// default int16 integer GEMM — the bench's int-vs-float A/B lever.
-  bool fixed_float_carrier = false;
   /// Simulated device occupancy: each served micro-batch additionally
   /// holds its worker for this long (a sleep inside the timed service
   /// window, so measured EWMAs and busy_seconds see it). Emulates a

@@ -1,23 +1,27 @@
 // Batched im2col+GEMM conv fast path: property-style parity sweep.
 //
-// The batched lowering (one column matrix + one GEMM for the whole
-// micro-batch, arena-backed scratch) must agree with BOTH independent
-// implementations — the direct tap-walking kernel and the legacy
-// per-sample im2col — forward and backward (dW and dX), across randomized
-// geometries: kernel {1,3,5}, stride {1,2}, pad {0,1,2}, batch
-// {1,2,7,16}, non-square H != W, with and without the concat-time
-// channel. Max abs error <= 1e-4 everywhere. Also pins down the scratch
-// behaviour (no regrowth after the first call) and the n = 0 and
-// pad-only-edge cases.
+// The batched path (forward: one implicit-lowering GEMM for the whole
+// micro-batch; backward: one column matrix + arena-backed scratch) must
+// agree with the independent direct tap-walking kernel, forward and
+// backward (dW and dX), across randomized geometries: kernel {1,3,5},
+// stride {1,2}, pad {0,1,2}, batch {1,2,7,16}, non-square H != W, with
+// and without the concat-time channel. Max abs error <= 1e-4 everywhere.
+// The sweep runs again with the GEMM split forced onto explicit 2- and
+// 4-worker pools, which must reproduce the 1-worker output bitwise. Also
+// pins down the scratch behaviour (no regrowth after the first call) and
+// the n = 0 and pad-only-edge cases.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "core/conv2d.hpp"
+#include "core/gemm_kernels.hpp"
 #include "core/init.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace odenet::core;
 namespace ou = odenet::util;
@@ -67,51 +71,41 @@ Conv2d make_conv(const Geometry& g, ConvAlgo algo) {
                  .algo = algo});
 }
 
-/// Forward + backward parity of the batched path against direct and
-/// per-sample, on one geometry. All three share identical weights.
-void check_parity(const Geometry& g, ou::Rng& rng) {
+/// Forward + backward parity of the batched path against direct, on one
+/// geometry. Both share identical weights. Returns the batched outputs
+/// (y, dX, dW) for the thread-split comparison.
+std::vector<Tensor> check_parity(const Geometry& g, ou::Rng& rng) {
   SCOPED_TRACE(g.str());
   Conv2d direct = make_conv(g, ConvAlgo::kDirect);
   init_conv(direct, rng);
-  Conv2d per_sample = make_conv(g, ConvAlgo::kIm2colPerSample);
-  per_sample.weight().value = direct.weight().value;
   Conv2d batched = make_conv(g, ConvAlgo::kIm2col);
   batched.weight().value = direct.weight().value;
 
-  for (Conv2d* c : {&direct, &per_sample, &batched}) {
+  for (Conv2d* c : {&direct, &batched}) {
     c->set_training(true);
     c->set_time(0.6f);
   }
 
   Tensor x = random_tensor({g.n, g.cin, g.h, g.w}, rng);
   Tensor y_direct = direct.forward(x);
-  Tensor y_per_sample = per_sample.forward(x);
   Tensor y_batched = batched.forward(x);
   EXPECT_LE(max_abs_diff(y_batched, y_direct), kTol) << "fwd vs direct";
-  EXPECT_LE(max_abs_diff(y_batched, y_per_sample), kTol)
-      << "fwd vs per-sample";
 
   Tensor gout = random_tensor(y_direct.shape(), rng);
   Tensor gx_direct = direct.backward(gout);
-  Tensor gx_per_sample = per_sample.backward(gout);
   Tensor gx_batched = batched.backward(gout);
   EXPECT_LE(max_abs_diff(gx_batched, gx_direct), kTol) << "dX vs direct";
-  EXPECT_LE(max_abs_diff(gx_batched, gx_per_sample), kTol)
-      << "dX vs per-sample";
   EXPECT_LE(max_abs_diff(batched.weight().grad, direct.weight().grad), kTol)
       << "dW vs direct";
-  EXPECT_LE(
-      max_abs_diff(batched.weight().grad, per_sample.weight().grad), kTol)
-      << "dW vs per-sample";
+  return {y_batched, gx_batched, batched.weight().grad};
 }
 
-}  // namespace
-
-TEST(ConvBatchedParity, RandomizedGeometrySweep) {
-  // Full kernel/stride/pad grid; batch sizes cycle through {1,2,7,16} and
-  // every spatial extent is randomized non-square (H != W).
+/// The sweep's geometries: the full kernel/stride/pad grid; batch sizes
+/// cycle through {1,2,7,16} and every spatial extent is randomized
+/// non-square (H != W).
+std::vector<Geometry> sweep_geometries(ou::Rng& rng) {
   const int batches[] = {1, 2, 7, 16};
-  ou::Rng rng(42);
+  std::vector<Geometry> out;
   int case_index = 0;
   for (int k : {1, 3, 5}) {
     for (int s : {1, 2}) {
@@ -130,12 +124,60 @@ TEST(ConvBatchedParity, RandomizedGeometrySweep) {
           g.w = h_min + static_cast<int>(rng.uniform_int(6));
         } while (g.w == g.h);
         g.time_channel = (case_index % 3 == 0);
-        check_parity(g, rng);
+        out.push_back(g);
         ++case_index;
       }
     }
   }
-  EXPECT_EQ(case_index, 18);
+  return out;
+}
+
+/// RAII kernel-pool + parallel-threshold override.
+struct PoolOverride {
+  PoolOverride(ou::ThreadPool* pool, std::size_t min_flops) {
+    set_kernel_pool(pool);
+    gemm_set_parallel_min_flops(min_flops);
+  }
+  ~PoolOverride() {
+    set_kernel_pool(nullptr);
+    gemm_set_parallel_min_flops(0);
+  }
+};
+
+}  // namespace
+
+TEST(ConvBatchedParity, RandomizedGeometrySweep) {
+  ou::Rng rng(42);
+  const std::vector<Geometry> geos = sweep_geometries(rng);
+  for (const Geometry& g : geos) check_parity(g, rng);
+  EXPECT_EQ(geos.size(), 18u);
+}
+
+TEST(ConvBatchedParity, GeometrySweepIsBitwiseAcrossWorkerCounts) {
+  // Every GEMM forced onto the panel x row-block split (min flops 1) on
+  // explicit pools: 2 and 4 workers must reproduce the 1-worker forward,
+  // dX and dW bitwise, geometry by geometry (same seeds, same weights).
+  std::vector<std::vector<Tensor>> base;
+  for (std::size_t workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ou::ThreadPool pool(workers);
+    PoolOverride ov(&pool, 1);
+    ou::Rng rng(42);
+    const std::vector<Geometry> geos = sweep_geometries(rng);
+    for (std::size_t i = 0; i < geos.size(); ++i) {
+      std::vector<Tensor> got = check_parity(geos[i], rng);
+      if (workers == 1) {
+        base.push_back(std::move(got));
+        continue;
+      }
+      for (std::size_t t = 0; t < got.size(); ++t) {
+        ASSERT_TRUE(got[t].same_shape(base[i][t]));
+        EXPECT_EQ(0, std::memcmp(got[t].data(), base[i][t].data(),
+                                 got[t].numel() * sizeof(float)))
+            << geos[i].str() << " output " << t;
+      }
+    }
+  }
 }
 
 TEST(ConvBatchedParity, LargeBatchOdeBlockShape) {
@@ -162,8 +204,7 @@ TEST(ConvBatchedParity, PadOnlyEdgeRows) {
 }
 
 TEST(ConvBatchedParity, RejectsEmptyBatch) {
-  for (ConvAlgo algo :
-       {ConvAlgo::kIm2col, ConvAlgo::kIm2colPerSample, ConvAlgo::kDirect}) {
+  for (ConvAlgo algo : {ConvAlgo::kIm2col, ConvAlgo::kDirect}) {
     Conv2d conv({.in_channels = 3, .out_channels = 4, .algo = algo});
     EXPECT_THROW(conv.forward(Tensor({0, 3, 8, 8})), odenet::Error);
   }
@@ -195,6 +236,7 @@ TEST(ConvBatchedParity, ScratchArenaStopsGrowingAfterFirstCall) {
   // A smaller batch recycles the buffer too.
   Tensor x_small = random_tensor({2, 4, 9, 5}, rng);
   conv.forward(x_small);
+  conv.backward(random_tensor({2, 6, 9, 5}, rng));
   EXPECT_EQ(conv.scratch_arena().growths(), growths);
 }
 
@@ -207,10 +249,15 @@ TEST(ConvBatchedParity, ExternalArenaIsShared) {
   init_conv(b, rng);
   a.set_arena(&arena);
   b.set_arena(&arena);
+  a.set_training(true);
+  b.set_training(true);
 
+  // The backward lowering is what draws from the arena (the forward
+  // gathers straight from the image).
   Tensor x = random_tensor({4, 2, 6, 7}, rng);
   Tensor h = a.forward(x);
-  (void)b.forward(h);
+  Tensor y = b.forward(h);
+  (void)a.backward(b.backward(random_tensor(y.shape(), rng)));
   // Both layers drew from the one arena; its capacity is the max of the
   // two frames, and the wired arena is what scratch_arena() reports.
   EXPECT_EQ(&a.scratch_arena(), &arena);

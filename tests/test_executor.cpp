@@ -22,8 +22,10 @@
 #include "sched/latency_model.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "unfused_fixed_reference.hpp"
 
 using namespace odenet;
+using odenet::testing::UnfusedFixedReference;
 using models::Arch;
 using models::StageId;
 
@@ -80,9 +82,9 @@ TEST(Executor, FixedBackendWithinQuantizationTolerance) {
 
   core::Tensor base = net.forward(x);
 
-  // Float-carrier comparator keeps the PR 6 precision: Q11.20 activations,
+  // The float-carrier oracle keeps Q11.20 activations on float operands:
   // per-element error ~1e-6, a handful of steps deep.
-  models::FixedStageExecutor q20f(20, models::FixedConvPath::kBatchedFloat);
+  UnfusedFixedReference q20f(20, /*float_only=*/true);
   models::StagePlan plan_f(&q20f);
   core::Tensor carrier_out = net.forward_with(x, plan_f);
   ASSERT_TRUE(base.same_shape(carrier_out));
@@ -106,7 +108,7 @@ TEST(Executor, FixedBackendWithinQuantizationTolerance) {
   // output grid is the ONLY noise source; on the int16 path the operand
   // grids (fw <= 13) dominate at fine frac_bits, so q8-vs-q20 ordering is
   // checked there only in the ballpark sense.
-  models::FixedStageExecutor q8f(8, models::FixedConvPath::kBatchedFloat);
+  UnfusedFixedReference q8f(8, /*float_only=*/true);
   models::StagePlan coarse_f(&q8f);
   core::Tensor coarse_carrier = net.forward_with(x, coarse_f);
   EXPECT_GT(max_abs_diff(base, coarse_carrier),
@@ -183,9 +185,9 @@ TEST(Executor, RunStatsCoverEveryStageAndFoldPlCycles) {
 }
 
 TEST(Executor, BackendsAgreeOnBatchedInputAcrossConvAlgos) {
-  // Regression guard for the batched conv rewrite: on one multi-sample
-  // input, (a) the float plan is invariant to the conv algorithm (batched
-  // im2col vs per-sample vs direct — a layout bug in the batched lowering
+  // Regression guard for the batched conv path: on one multi-sample
+  // input, (a) the float plan is invariant to the conv algorithm (the
+  // implicit-lowering GEMM vs direct — a layout bug in the batched path
   // would show up here even if single-sample unit tests pass), and (b) the
   // fixed and FPGA-sim plans still agree with the float plan within their
   // established tolerances.
@@ -202,17 +204,13 @@ TEST(Executor, BackendsAgreeOnBatchedInputAcrossConvAlgos) {
   models::StagePlan float_plan(&float_exec);
   core::Tensor batched = net.forward_with(x, float_plan);
 
-  net.set_conv_algo(core::ConvAlgo::kIm2colPerSample);
-  core::Tensor per_sample = net.forward_with(x, float_plan);
-  ASSERT_TRUE(batched.same_shape(per_sample));
-  EXPECT_LT(max_abs_diff(batched, per_sample), 1e-4);
-
   net.set_conv_algo(core::ConvAlgo::kDirect);
   core::Tensor direct = net.forward_with(x, float_plan);
+  ASSERT_TRUE(batched.same_shape(direct));
   EXPECT_LT(max_abs_diff(batched, direct), 1e-4);
 
   net.set_conv_algo(core::ConvAlgo::kIm2col);
-  models::FixedStageExecutor q20f(20, models::FixedConvPath::kBatchedFloat);
+  UnfusedFixedReference q20f(20, /*float_only=*/true);
   models::StagePlan carrier_plan(&q20f);
   core::Tensor carrier_out = net.forward_with(x, carrier_plan);
   EXPECT_LT(max_abs_diff(batched, carrier_out), 1e-3);
@@ -285,43 +283,27 @@ TEST(Executor, ModeledCostHookReplacesMeasuredSeconds) {
   EXPECT_DOUBLE_EQ(stats.stage_seconds(), 42.0 * stats.stages.size());
 }
 
-TEST(Executor, FixedBatchedMatchesPerSampleLowering) {
-  // The batched FLOAT-CARRIER fixed conv (whole-batch im2col + one packed
-  // GEMM) against the per-sample comparator: same quantized weights, same
-  // requantization points, only the lowering and the float summation
-  // order differ — so outputs agree to well under the Q20 parity budget.
+TEST(Executor, FixedIntegerPathAgreesWithFloatCarrierOracle) {
+  // The float-carrier oracle (Q-grid weights, float operands, one
+  // requantization per conv) sits within the Q20 parity budget of float;
+  // the default int16 integer path runs the same quantized network on
+  // narrower operand grids and agrees within the int16 budget (see
+  // FixedBackendWithinQuantizationTolerance) with both.
   util::Rng rng(41);
   models::Network net(models::make_spec(Arch::kROdeNet3, 14, tiny_width()));
   net.init(rng);
   net.set_training(false);
   core::Tensor x = random_input(4, rng);
 
-  models::FixedStageExecutor batched_f(20,
-                                       models::FixedConvPath::kBatchedFloat);
-  models::FixedStageExecutor per_sample(20,
-                                        models::FixedConvPath::kPerSample);
-  EXPECT_EQ(batched_f.conv_path(), models::FixedConvPath::kBatchedFloat);
-  EXPECT_EQ(per_sample.conv_path(), models::FixedConvPath::kPerSample);
-
-  models::StagePlan plan_f(&batched_f);
-  models::StagePlan plan_p(&per_sample);
+  UnfusedFixedReference carrier(20, /*float_only=*/true);
+  models::StagePlan plan_f(&carrier);
   core::Tensor out_f = net.forward_with(x, plan_f);
-  core::Tensor out_p = net.forward_with(x, plan_p);
-
-  ASSERT_TRUE(out_f.same_shape(out_p));
-  EXPECT_LT(max_abs_diff(out_f, out_p), 1e-3);
-
-  // And both still sit within quantization tolerance of float.
   core::Tensor base = net.forward(x);
+  ASSERT_TRUE(out_f.same_shape(base));
   EXPECT_LT(max_abs_diff(base, out_f), 1e-3);
-  EXPECT_LT(max_abs_diff(base, out_p), 1e-3);
 
-  // The default int16 integer path runs the same quantized network on
-  // narrower operand grids — it agrees within the int16 budget (see
-  // FixedBackendWithinQuantizationTolerance) with both comparators.
-  models::FixedStageExecutor batched_i(20, models::FixedConvPath::kBatched);
-  EXPECT_EQ(batched_i.conv_path(), models::FixedConvPath::kBatched);
-  models::StagePlan plan_i(&batched_i);
+  models::FixedStageExecutor fixed(20);
+  models::StagePlan plan_i(&fixed);
   core::Tensor out_i = net.forward_with(x, plan_i);
   EXPECT_LT(max_abs_diff(out_i, out_f), 0.1);
   EXPECT_LT(max_abs_diff(base, out_i), 0.1);
@@ -424,139 +406,6 @@ TEST(Executor, WeightCacheCapacityBoundsChurn) {
 // ---- The fused int16 datapath against the unfused chain -----------------
 
 namespace {
-
-/// The fixed backend's unfused datapath, rebuilt from the standalone
-/// primitives: every conv quantizes its time-augmented input with
-/// quantize_i16, lowers it with im2col_batched_i16, multiplies with
-/// gemm_i16_tiled_pa, requantizes with requantize_i32 and permutes to
-/// NCHW (or, when no valid shift exists, runs the float carrier); then
-/// BN, qdq, ReLU, the second conv, BN, qdq and the Euler axpy or shortcut
-/// add with a final qdq each run as their own pass. It picks scales with
-/// the executor's published rules, so FixedStageExecutor must match it
-/// bitwise. Records which path every conv call took, per stage.
-class UnfusedFixedReference final : public models::StageExecutor {
- public:
-  explicit UnfusedFixedReference(int frac_bits, bool float_only = false)
-      : frac_(frac_bits), float_only_(float_only) {}
-
-  const std::string& name() const override { return name_; }
-  core::ExecBackend backend() const override {
-    return core::ExecBackend::kFixed;
-  }
-
-  core::Tensor run(models::Stage& stage, const core::Tensor& x,
-                   core::StageRunStats* /*stats*/) override {
-    stage_ = stage.spec().id;
-    core::Tensor z = fixed::dequantize(fixed::quantize(x, frac_));
-    if (stage.is_ode()) {
-      models::OdeBlock* ode = stage.ode();
-      const int steps = ode->config().executions;
-      const float h = (ode->t1() - ode->t0()) / static_cast<float>(steps);
-      float t = ode->t0();
-      for (int k = 0; k < steps; ++k) {
-        core::Tensor f = block(ode->block(), z, t, /*branch_only=*/true);
-        z.axpy(h, f);
-        fixed::qdq_inplace(z, frac_);
-        t += h;
-      }
-    } else {
-      for (auto& b : stage.blocks()) z = block(*b, z, 0.0f, false);
-    }
-    return z;
-  }
-
-  /// (stage, took the int16 path) for every conv call so far.
-  std::vector<std::pair<StageId, bool>> calls;
-
- private:
-  core::Tensor conv(core::Conv2d& conv, const core::Tensor& x, float t) {
-    const core::Conv2dConfig& cfg = conv.config();
-    const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-    const int ci = c + (cfg.time_channel ? 1 : 0);
-    const core::LoweringGeometry g{.channels = ci, .height = h, .width = w,
-                                   .kernel = cfg.kernel,
-                                   .stride = cfg.stride, .pad = cfg.pad};
-    core::Tensor in = x;
-    if (cfg.time_channel) {
-      const float tq = fixed::qdq_value(t, frac_);
-      in = core::Tensor({n, ci, h, w});
-      const std::size_t plane = static_cast<std::size_t>(h) * w;
-      for (int i = 0; i < n; ++i) {
-        std::copy_n(x.data() + i * c * plane, c * plane,
-                    in.data() + i * ci * plane);
-        std::fill_n(in.data() + (i * ci + c) * plane, plane, tq);
-      }
-    }
-    const core::Tensor& wt = conv.weight().value;
-    const int co = cfg.out_channels;
-    const int kk = static_cast<int>(g.col_rows());
-    const std::size_t cc = g.col_cols();
-    const std::size_t ncols = cc * n;
-    core::Tensor out({n, co, g.out_h(), g.out_w()});
-    std::vector<float> cm(static_cast<std::size_t>(co) * ncols);
-    const int fw = float_only_ ? -1
-                   : models::FixedStageExecutor::int16_weight_frac_bits(
-                         wt, frac_);
-    const int fa =
-        fw > 0 ? models::FixedStageExecutor::int16_act_frac_bits(
-                     fixed::max_abs(in.data(), in.numel()), fw, frac_)
-               : -1;
-    calls.emplace_back(stage_, fa >= 0);
-    if (fa >= 0) {
-      std::vector<std::int16_t> wq(wt.numel()), inq(in.numel());
-      fixed::quantize_i16(wt.data(), wq.data(), wq.size(), fw);
-      core::PackedGemmA16 pa;
-      core::pack_gemm_a_i16(wq.data(), co, kk, pa);
-      fixed::quantize_i16(in.data(), inq.data(), inq.size(), fa);
-      std::vector<std::int16_t> cols(static_cast<std::size_t>(kk) * ncols);
-      core::im2col_batched_i16(inq.data(), g, n, cols.data());
-      std::vector<std::int32_t> acc(cm.size());
-      core::gemm_i16_tiled_pa(pa, cols.data(), acc.data(),
-                              static_cast<int>(ncols), false);
-      fixed::requantize_i32(acc.data(), cm.data(), acc.size(),
-                            fa + fw - frac_, frac_);
-      core::permute_channel_major(cm.data(), out.data(), n, co, cc, true);
-      return out;
-    }
-    std::vector<float> wv(wt.numel());
-    for (std::size_t i = 0; i < wv.size(); ++i) {
-      wv[i] = fixed::qdq_value(wt.data()[i], frac_);
-    }
-    core::PackedGemmA pa;
-    core::pack_gemm_a(wv.data(), co, kk, pa);
-    std::vector<float> cols(static_cast<std::size_t>(kk) * ncols);
-    core::im2col_batched(in.data(), g, n, cols.data());
-    core::gemm_tiled_pa(pa, cols.data(), cm.data(), static_cast<int>(ncols),
-                        false);
-    core::permute_channel_major(cm.data(), out.data(), n, co, cc, true);
-    fixed::qdq_inplace(out, frac_);
-    return out;
-  }
-
-  core::Tensor block(core::BuildingBlock& b, const core::Tensor& x, float t,
-                     bool branch_only) {
-    core::Tensor hmap = conv(b.conv1(), x, t);
-    hmap = b.bn1().forward(hmap);
-    fixed::qdq_inplace(hmap, frac_);
-    for (std::size_t i = 0; i < hmap.numel(); ++i) {
-      if (hmap.data()[i] < 0.0f) hmap.data()[i] = 0.0f;
-    }
-    hmap = conv(b.conv2(), hmap, t);
-    hmap = b.bn2().forward(hmap);
-    fixed::qdq_inplace(hmap, frac_);
-    if (!branch_only) {
-      hmap.add(core::BuildingBlock::shortcut(x, b.config().stride,
-                                             b.config().out_channels));
-      fixed::qdq_inplace(hmap, frac_);
-    }
-    return hmap;
-  }
-
-  std::string name_ = "unfused_fixed_reference";
-  int frac_;
-  bool float_only_;
-  StageId stage_{};
-};
 
 /// RAII kernel-pool + parallel-threshold + ISA override.
 struct KernelOverride {
@@ -663,24 +512,32 @@ TEST(Executor, FusedFixedForwardIsIsaThreadAndBatchInvariant) {
 }
 
 TEST(Executor, FixedFloatCarrierAndBatchStatsBnMatchUnfusedChain) {
-  // The epilogue passes behind the float carrier (kBatchedFloat runs
-  // every conv there) and the batch-statistics BN mode (BN between the
-  // conv's requantization and the rest of the epilogue) keep the unfused
-  // numerics too.
+  // The epilogue passes behind the float carrier and the batch-statistics
+  // BN mode (BN between the conv's requantization and the rest of the
+  // epilogue) keep the unfused numerics too. At Q(29) no int16 weight
+  // scale leaves a valid requantization shift (fw would need 14 >
+  // kWeightFracMax), so every conv takes the float-carrier fallback; the
+  // reference picks the same path by the same rule and, with float_only,
+  // builds it independently.
   util::Rng rng(53);
   models::Network net(models::make_spec(Arch::kROdeNet3, 20, tiny_width()));
   net.init(rng);
   net.set_training(false);
   const core::Tensor x = random_input(3, rng);
-  {
-    models::FixedStageExecutor carrier(20,
-                                       models::FixedConvPath::kBatchedFloat);
-    UnfusedFixedReference ref(20, /*float_only=*/true);
+  for (std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    util::ThreadPool pool(workers);
+    KernelOverride ov(&pool, /*scalar=*/false);
+    models::FixedStageExecutor carrier(29);
+    UnfusedFixedReference ref(29, /*float_only=*/true);
     models::StagePlan carrier_plan(&carrier);
     models::StagePlan ref_plan(&ref);
     expect_bitwise(net.forward_with(x, carrier_plan),
                    net.forward_with(x, ref_plan));
   }
+  EXPECT_EQ(models::FixedStageExecutor::int16_weight_frac_bits(
+                core::Tensor({1, 1, 1, 1}), 29),
+            -1);
   models::OdeBlock* ode = net.stage(StageId::kLayer3_2)->ode();
   ode->block().bn1().set_use_batch_stats_in_eval(true);
   ode->block().bn2().set_use_batch_stats_in_eval(true);

@@ -1,15 +1,18 @@
 // Fused inference epilogues (core/gemm_kernels.hpp tile4x16_ep + the
-// elementwise kernel family, core/im2col.hpp gemm_tiled_pa_ep,
+// elementwise kernel family, core/im2col.hpp gemm_lowered_ep,
 // Conv2d::forward_fused, BuildingBlock's fused branch/Euler paths and the
 // allocation-free fixed-step solver loop):
 //  * the epilogue GEMM against the unfused GEMM + a scalar reference
 //    epilogue chain — BITWISE per ISA, across full-tile and ragged
 //    geometries x epilogue combinations, including residual aliasing C;
+//  * the implicit lowering against the explicit im2col_batched ->
+//    GEMM -> permute composition, bitwise, for any geometry;
 //  * the standalone elementwise kernels against references and BITWISE
 //    scalar-vs-AVX2 (including -0.0 and NaN for relu);
-//  * thread-count invariance of the epilogue GEMM (bitwise at 1/2/8);
+//  * thread-count invariance of the epilogue GEMM (bitwise at 1/2/8), and
+//    of the composition and lowering checks (bitwise at 1/2/4);
 //  * Conv2d::forward_fused == forward + affine + relu (+ accumulate),
-//    both the n==1 direct-GEMM path and the n>1 permute path;
+//    at n == 1 and with output tiles straddling samples;
 //  * BuildingBlock fused branch/forward/Euler vs the unfused chain;
 //  * training mode is untouched (fused path gated off, outputs bitwise);
 //  * the restructured fixed-step solver == the exported step functions,
@@ -120,6 +123,17 @@ const EpCombo kCombos[] = {
     {true, true, true, "affine+relu+residual"},
 };
 
+/// The epilogue GEMM on a plain row-major B[k, n]: gemm_lowered_ep over
+/// the identity lowering (1x1 kernel, stride 1, no pad) of a one-sample
+/// [k, 1, n] image, whose column matrix IS B and whose NCHW output IS the
+/// row-major C[m, n].
+void gemm_ep(const PackedGemmA& pa, const float* b, float* c, int n,
+             const GemmEpilogue& ep) {
+  const LoweringGeometry g{.channels = pa.k, .height = 1, .width = n,
+                           .kernel = 1, .stride = 1, .pad = 0};
+  gemm_lowered_ep(pa, b, g, 1, c, ep);
+}
+
 /// RAII scalar-forcing so a failing EXPECT cannot leak the override.
 struct ForceScalar {
   explicit ForceScalar(bool on) { gemm_force_scalar(on); }
@@ -144,7 +158,8 @@ struct FusedOverride {
   ~FusedOverride() { set_fused_epilogues(true); }
 };
 
-void run_ep_vs_composition(const Shape& s, ou::Rng& rng) {
+/// Returns every fused output, concatenated, for the worker-count check.
+std::vector<float> run_ep_vs_composition(const Shape& s, ou::Rng& rng) {
   const auto a = random_vec(static_cast<std::size_t>(s.m) * s.k, rng);
   const auto b = random_vec(static_cast<std::size_t>(s.k) * s.n, rng);
   const auto scale = random_vec(static_cast<std::size_t>(s.m), rng);
@@ -156,8 +171,9 @@ void run_ep_vs_composition(const Shape& s, ou::Rng& rng) {
   PackedGemmA pa;
   pack_gemm_a(a.data(), s.m, s.k, pa);
   std::vector<float> plain(cn);
-  gemm_tiled_pa(pa, b.data(), plain.data(), s.n, false);
+  gemm_tiled(a.data(), b.data(), plain.data(), s.m, s.k, s.n, false);
 
+  std::vector<float> all;
   for (const EpCombo& combo : kCombos) {
     SCOPED_TRACE(s.str() + " ep=" + combo.str);
     GemmEpilogue ep;
@@ -171,7 +187,7 @@ void run_ep_vs_composition(const Shape& s, ou::Rng& rng) {
       ep.beta = beta;
     }
     std::vector<float> got(cn, -7.0f);
-    gemm_tiled_pa_ep(pa, b.data(), got.data(), s.n, ep);
+    gemm_ep(pa, b.data(), got.data(), s.n, ep);
 
     // The unfused composition: the plain GEMM plus a scalar epilogue
     // chain. All epilogue ops are single-rounded IEEE mul/add/max, so the
@@ -180,7 +196,86 @@ void run_ep_vs_composition(const Shape& s, ou::Rng& rng) {
     apply_epilogue_ref(want, s.m, s.n, ep.scale, ep.shift, ep.relu,
                        ep.residual, ep.beta);
     EXPECT_EQ(0, std::memcmp(got.data(), want.data(), cn * sizeof(float)));
+    all.insert(all.end(), got.begin(), got.end());
   }
+  return all;
+}
+
+/// The implicit lowering against the explicit composition: the same
+/// epilogue GEMM over the im2col_batched matrix, permuted to NCHW. The
+/// gather must produce exactly the values im2col materializes, and every
+/// output element runs the same kernel lane wherever its tile sits, so
+/// the outputs are bitwise equal on either ISA. Returns the implicit
+/// outputs, concatenated, for the worker-count check.
+std::vector<float> run_implicit_vs_explicit(ou::Rng& rng) {
+  struct Geo {
+    int c, h, w, m, kernel, stride, pad;
+  };
+  // Tile-aligned "same" planes; planes that are not a multiple of 16
+  // (tiles straddle samples); ragged m; stride 2; a "valid" conv whose
+  // output shrinks; a 5x5 kernel.
+  const Geo geos[] = {{3, 4, 4, 4, 3, 1, 1},  {5, 8, 8, 8, 3, 1, 1},
+                      {2, 2, 8, 12, 3, 1, 1}, {4, 16, 16, 8, 3, 1, 1},
+                      {7, 8, 2, 4, 3, 1, 1},  {3, 8, 8, 4, 5, 1, 2},
+                      {3, 6, 6, 4, 3, 1, 1},  {3, 8, 8, 6, 3, 1, 1},
+                      {3, 8, 8, 4, 3, 2, 1},  {3, 7, 9, 5, 3, 2, 1},
+                      {3, 8, 8, 4, 3, 1, 0},  {2, 5, 3, 7, 1, 1, 0}};
+  const int batch = 3;
+  std::vector<float> all;
+  for (const Geo& geo : geos) {
+    SCOPED_TRACE(testing::Message() << "c=" << geo.c << " h=" << geo.h
+                                    << " w=" << geo.w << " m=" << geo.m
+                                    << " k=" << geo.kernel
+                                    << " s=" << geo.stride
+                                    << " p=" << geo.pad);
+    const LoweringGeometry g{.channels = geo.c, .height = geo.h,
+                             .width = geo.w, .kernel = geo.kernel,
+                             .stride = geo.stride, .pad = geo.pad};
+    const std::size_t kk = g.col_rows();
+    const std::size_t cc = g.col_cols();
+    const std::size_t n = cc * batch;
+    const auto src = random_vec(
+        static_cast<std::size_t>(batch) * geo.c * geo.h * geo.w, rng);
+    const auto wvec = random_vec(static_cast<std::size_t>(geo.m) * kk, rng);
+    const auto scale = random_vec(static_cast<std::size_t>(geo.m), rng);
+    const auto shift = random_vec(static_cast<std::size_t>(geo.m), rng);
+    const auto resid = random_vec(static_cast<std::size_t>(geo.m) * n, rng);
+    PackedGemmA pa;
+    pack_gemm_a(wvec.data(), geo.m, static_cast<int>(kk), pa);
+    std::vector<float> cols(kk * n);
+    im2col_batched(src.data(), g, batch, cols.data());
+    const std::size_t cn = static_cast<std::size_t>(geo.m) * n;
+    // The residual in both layouts (channel-major for the explicit GEMM).
+    std::vector<float> resid_cm(cn);
+    permute_channel_major(resid.data(), resid_cm.data(), batch, geo.m, cc,
+                          /*to_nchw=*/false);
+    for (bool with_residual : {false, true}) {
+      GemmEpilogue ep;
+      ep.scale = scale.data();
+      ep.shift = shift.data();
+      ep.relu = true;
+      ep.beta = 0.25f;
+      auto check = [&] {
+        std::vector<float> cm(cn, -1.0f), explicit_c(cn, -1.0f),
+            implicit_c(cn, -2.0f);
+        ep.residual = with_residual ? resid_cm.data() : nullptr;
+        gemm_ep(pa, cols.data(), cm.data(), static_cast<int>(n), ep);
+        permute_channel_major(cm.data(), explicit_c.data(), batch, geo.m, cc,
+                              /*to_nchw=*/true);
+        ep.residual = with_residual ? resid.data() : nullptr;
+        gemm_lowered_ep(pa, src.data(), g, batch, implicit_c.data(), ep);
+        EXPECT_EQ(0, std::memcmp(explicit_c.data(), implicit_c.data(),
+                                 cn * sizeof(float)))
+            << (with_residual ? "with residual" : "no residual");
+        return implicit_c;
+      };
+      const std::vector<float> got = check();
+      all.insert(all.end(), got.begin(), got.end());
+      ForceScalar forced(true);
+      check();
+    }
+  }
+  return all;
 }
 
 }  // namespace
@@ -226,10 +321,10 @@ TEST(FusedEpilogue, GemmEpIsaParityWithinTolerance) {
     PackedGemmA pa;
     pack_gemm_a(a.data(), s.m, s.k, pa);
     std::vector<float> vec(cn), sca(cn);
-    gemm_tiled_pa_ep(pa, b.data(), vec.data(), s.n, ep);
+    gemm_ep(pa, b.data(), vec.data(), s.n, ep);
     {
       ForceScalar forced(true);
-      gemm_tiled_pa_ep(pa, b.data(), sca.data(), s.n, ep);
+      gemm_ep(pa, b.data(), sca.data(), s.n, ep);
     }
     // The k loop uses FMA on AVX2, so parity is tolerance-based (the
     // epilogue itself is contraction-free and adds no extra drift).
@@ -261,79 +356,47 @@ TEST(FusedEpilogue, GemmEpResidualMayAliasC) {
 
     std::vector<float> separate(cn);
     ep.residual = state.data();
-    gemm_tiled_pa_ep(pa, b.data(), separate.data(), s.n, ep);
+    gemm_ep(pa, b.data(), separate.data(), s.n, ep);
 
     std::vector<float> inplace = state;
     ep.residual = inplace.data();
-    gemm_tiled_pa_ep(pa, b.data(), inplace.data(), s.n, ep);
+    gemm_ep(pa, b.data(), inplace.data(), s.n, ep);
     EXPECT_EQ(0,
               std::memcmp(inplace.data(), separate.data(), cn * sizeof(float)));
   }
 }
 
 TEST(FusedEpilogue, ImplicitLoweringMatchesExplicitBitwise) {
-  // The implicit B gather must pack exactly the values im2col
-  // materializes — same micro-kernel, same sweep order, so the output is
-  // bitwise equal to the explicit composition on either ISA.
-  struct Geo {
-    int c, h, w, m, kernel, pad;
-  };
-  const Geo geos[] = {{3, 4, 4, 4, 3, 1},   {5, 8, 8, 8, 3, 1},
-                      {2, 2, 8, 12, 3, 1},  {4, 16, 16, 8, 3, 1},
-                      {7, 8, 2, 4, 3, 1},   {3, 8, 8, 4, 5, 2}};
-  const int batch = 3;
   ou::Rng rng(31);
-  for (const Geo& geo : geos) {
-    SCOPED_TRACE(testing::Message() << "c=" << geo.c << " h=" << geo.h
-                                    << " w=" << geo.w << " m=" << geo.m
-                                    << " k=" << geo.kernel);
-    const LoweringGeometry g{.channels = geo.c, .height = geo.h,
-                             .width = geo.w, .kernel = geo.kernel,
-                             .stride = 1, .pad = geo.pad};
-    ASSERT_TRUE(gemm_implicit_lowering_ok(g, geo.m));
-    const std::size_t kk = g.col_rows();
-    const std::size_t n = g.col_cols() * batch;
-    const auto src = random_vec(
-        static_cast<std::size_t>(batch) * geo.c * geo.h * geo.w, rng);
-    const auto wvec = random_vec(static_cast<std::size_t>(geo.m) * kk, rng);
-    const auto scale = random_vec(static_cast<std::size_t>(geo.m), rng);
-    const auto shift = random_vec(static_cast<std::size_t>(geo.m), rng);
-    PackedGemmA pa;
-    pack_gemm_a(wvec.data(), geo.m, static_cast<int>(kk), pa);
-    GemmEpilogue ep;
-    ep.scale = scale.data();
-    ep.shift = shift.data();
-    ep.relu = true;
-    std::vector<float> cols(kk * n);
-    im2col_batched(src.data(), g, batch, cols.data());
-    const std::size_t cn = static_cast<std::size_t>(geo.m) * n;
-    auto check = [&] {
-      std::vector<float> explicit_c(cn, -1.0f), implicit_c(cn, -2.0f);
-      gemm_tiled_pa_ep(pa, cols.data(), explicit_c.data(),
-                       static_cast<int>(n), ep);
-      gemm_tiled_pa_ep_lowered(pa, src.data(), g, batch, implicit_c.data(),
-                               ep);
-      ASSERT_EQ(0, std::memcmp(explicit_c.data(), implicit_c.data(),
-                               cn * sizeof(float)));
-    };
-    check();
-    {
-      ForceScalar forced(true);
-      check();
+  run_implicit_vs_explicit(rng);
+}
+
+TEST(FusedEpilogue, CompositionAndLoweringAreBitwiseAcrossWorkerCounts) {
+  // The composition and implicit-vs-explicit checks again with every GEMM
+  // forced onto the split path (min flops 1) on explicit 2- and 4-worker
+  // pools: each must still pass and reproduce the 1-worker outputs
+  // bitwise.
+  std::vector<float> base;
+  for (std::size_t workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ou::ThreadPool pool(workers);
+    PoolOverride ov(&pool, 1);
+    ou::Rng rng(32);
+    std::vector<float> got;
+    for (const Shape& s : kShapes) {
+      const std::vector<float> part = run_ep_vs_composition(s, rng);
+      got.insert(got.end(), part.begin(), part.end());
     }
+    const std::vector<float> lowered = run_implicit_vs_explicit(rng);
+    got.insert(got.end(), lowered.begin(), lowered.end());
+    if (workers == 1) {
+      base = got;
+      continue;
+    }
+    ASSERT_EQ(got.size(), base.size());
+    EXPECT_EQ(0, std::memcmp(got.data(), base.data(),
+                             got.size() * sizeof(float)));
   }
-  // Geometries the implicit path must refuse (caller falls back to the
-  // materialized lowering).
-  EXPECT_FALSE(gemm_implicit_lowering_ok(
-      {.channels = 3, .height = 6, .width = 6}, 4));  // plane % 16 != 0
-  EXPECT_FALSE(gemm_implicit_lowering_ok(
-      {.channels = 3, .height = 8, .width = 8}, 6));  // m % 4 != 0
-  EXPECT_FALSE(gemm_implicit_lowering_ok(
-      {.channels = 3, .height = 8, .width = 8, .kernel = 3, .stride = 2}, 4));
-  EXPECT_FALSE(gemm_implicit_lowering_ok(
-      {.channels = 3, .height = 8, .width = 8, .kernel = 3, .stride = 1,
-       .pad = 0},
-      4));  // "valid" conv: out extents shrink
 }
 
 TEST(FusedEpilogue, GemmEpThreadCountInvarianceIsBitwise) {
@@ -359,7 +422,7 @@ TEST(FusedEpilogue, GemmEpThreadCountInvarianceIsBitwise) {
       PoolOverride ov(&one, 1);
       PackedGemmA pa;
       pack_gemm_a(a.data(), s.m, s.k, pa);
-      gemm_tiled_pa_ep(pa, b.data(), base.data(), s.n, ep);
+      gemm_ep(pa, b.data(), base.data(), s.n, ep);
     }
     for (std::size_t workers : {2u, 8u}) {
       ou::ThreadPool pool(workers);
@@ -367,7 +430,7 @@ TEST(FusedEpilogue, GemmEpThreadCountInvarianceIsBitwise) {
       PackedGemmA pa;
       pack_gemm_a(a.data(), s.m, s.k, pa);
       std::vector<float> got(cn, -3.0f);
-      gemm_tiled_pa_ep(pa, b.data(), got.data(), s.n, ep);
+      gemm_ep(pa, b.data(), got.data(), s.n, ep);
       EXPECT_EQ(0, std::memcmp(got.data(), base.data(), cn * sizeof(float)))
           << "differs at " << workers << " workers";
     }
@@ -503,8 +566,8 @@ TEST(FusedEpilogue, ConvForwardFusedMatchesUnfusedChain) {
     int n, ci, co, hw;
     bool time_channel;
   };
-  // Both GEMM->output paths: n == 1 writes NCHW directly, n > 1 goes
-  // through the channel-major permute.
+  // n == 1 and n > 1; the 36-, 49-, 25- and 81-pixel planes put output
+  // tiles across sample boundaries (the local-tile edge rule).
   const Geo geos[] = {
       {1, 3, 5, 6, false}, {1, 4, 4, 7, true},  {3, 3, 5, 6, false},
       {2, 4, 4, 5, true},  {4, 8, 8, 8, true},  {2, 2, 7, 9, false},

@@ -54,7 +54,7 @@ std::vector<float> reference_gemm(const std::vector<float>& a,
   return c;
 }
 
-/// B[k,n] -> B^T stored [n,k] row-major (the gemm_bt/pack_gemm_b_nt input).
+/// B[k,n] -> B^T stored [n,k] row-major (the gemm_bt_tiled/pack_gemm_b_nt input).
 std::vector<float> transpose(const std::vector<float>& b, int k, int n) {
   std::vector<float> bt(static_cast<std::size_t>(n) * k);
   for (int p = 0; p < k; ++p) {
@@ -106,12 +106,6 @@ void run_all_tiled(const Shape& s, ou::Rng& rng) {
   gemm_tiled(a.data(), b.data(), c.data(), s.m, s.k, s.n, false);
   EXPECT_LE(max_abs_diff(c, want), tol) << "gemm_tiled";
 
-  PackedGemmA pa;
-  pack_gemm_a(a.data(), s.m, s.k, pa);
-  std::fill(c.begin(), c.end(), -7.0f);
-  gemm_tiled_pa(pa, b.data(), c.data(), s.n, false);
-  EXPECT_LE(max_abs_diff(c, want), tol) << "gemm_tiled_pa";
-
   PackedGemmB pb;
   pack_gemm_b_nt(bt.data(), s.k, s.n, pb);
   std::fill(c.begin(), c.end(), -7.0f);
@@ -124,10 +118,13 @@ void run_all_tiled(const Shape& s, ou::Rng& rng) {
 
   // accumulate=true adds onto the existing C.
   std::vector<float> acc(cn, 1.5f);
-  gemm_tiled_pa(pa, b.data(), acc.data(), s.n, true);
+  gemm_tiled(a.data(), b.data(), acc.data(), s.m, s.k, s.n, true);
   std::vector<float> want_acc(cn);
   for (std::size_t i = 0; i < cn; ++i) want_acc[i] = want[i] + 1.5f;
-  EXPECT_LE(max_abs_diff(acc, want_acc), tol) << "gemm_tiled_pa accumulate";
+  EXPECT_LE(max_abs_diff(acc, want_acc), tol) << "gemm_tiled accumulate";
+  acc.assign(cn, 1.5f);
+  gemm_tiled_pb(a.data(), pb, acc.data(), s.m, true);
+  EXPECT_LE(max_abs_diff(acc, want_acc), tol) << "gemm_tiled_pb accumulate";
 }
 
 /// RAII scalar-forcing so a failing EXPECT cannot leak the override.
@@ -209,9 +206,10 @@ TEST(GemmKernels, IsaParityAvx2VsScalar) {
 
 TEST(GemmKernels, ThreadCountInvarianceIsBitwise) {
   // Each 4x16 output tile's k loop runs entirely on one worker, so the
-  // panel split is pure work division: 1, 2 and 8 threads must produce
-  // BITWISE identical results (threshold forced to 0 so even the smallest
-  // shapes take the parallel path).
+  // panel split is pure work division: 1, 2, 4 and 8 threads must produce
+  // BITWISE identical results (threshold forced to 1 flop so even the
+  // smallest shapes take the parallel path), for every B source and
+  // store mode of the tiled driver and for gemm_bt_tiled.
   ou::Rng rng(10);
   for (const Shape& s : kShapes) {
     SCOPED_TRACE(s.str());
@@ -219,31 +217,41 @@ TEST(GemmKernels, ThreadCountInvarianceIsBitwise) {
     const auto b = random_matrix(s.k, s.n, rng);
     const auto bt = transpose(b, s.k, s.n);
     const std::size_t cn = static_cast<std::size_t>(s.m) * s.n;
-
-    std::vector<float> base_pa(cn), base_bt(cn);
+    PackedGemmB pb;
+    pack_gemm_b_nt(bt.data(), s.k, s.n, pb);
+    const auto init = random_matrix(s.m, s.n, rng);
+    // Every variant's output, concatenated.
+    auto run_all = [&] {
+      std::vector<float> out, c(cn);
+      auto keep = [&] { out.insert(out.end(), c.begin(), c.end()); };
+      gemm_tiled(a.data(), b.data(), c.data(), s.m, s.k, s.n, false);
+      keep();
+      c = init;
+      gemm_tiled(a.data(), b.data(), c.data(), s.m, s.k, s.n, true);
+      keep();
+      gemm_tiled_pb(a.data(), pb, c.data(), s.m, false);
+      keep();
+      c = init;
+      gemm_tiled_pb(a.data(), pb, c.data(), s.m, true);
+      keep();
+      gemm_bt_tiled(a.data(), bt.data(), c.data(), s.m, s.k, s.n, false);
+      keep();
+      return out;
+    };
+    std::vector<float> base;
     {
       ou::ThreadPool one(1);
       PoolOverride ov(&one, 1);
-      PackedGemmA pa;
-      pack_gemm_a(a.data(), s.m, s.k, pa);
-      gemm_tiled_pa(pa, b.data(), base_pa.data(), s.n, false);
-      gemm_bt_tiled(a.data(), bt.data(), base_bt.data(), s.m, s.k, s.n,
-                    false);
+      base = run_all();
     }
-    for (std::size_t workers : {2u, 8u}) {
+    for (std::size_t workers : {2u, 4u, 8u}) {
       ou::ThreadPool pool(workers);
       PoolOverride ov(&pool, 1);
-      std::vector<float> got(cn, -3.0f);
-      PackedGemmA pa;
-      pack_gemm_a(a.data(), s.m, s.k, pa);
-      gemm_tiled_pa(pa, b.data(), got.data(), s.n, false);
-      EXPECT_EQ(0, std::memcmp(got.data(), base_pa.data(),
-                               cn * sizeof(float)))
-          << "gemm_tiled_pa differs at " << workers << " workers";
-      gemm_bt_tiled(a.data(), bt.data(), got.data(), s.m, s.k, s.n, false);
-      EXPECT_EQ(0, std::memcmp(got.data(), base_bt.data(),
-                               cn * sizeof(float)))
-          << "gemm_bt_tiled differs at " << workers << " workers";
+      const std::vector<float> got = run_all();
+      ASSERT_EQ(got.size(), base.size());
+      EXPECT_EQ(0, std::memcmp(got.data(), base.data(),
+                               got.size() * sizeof(float)))
+          << "differs at " << workers << " workers";
     }
   }
 }

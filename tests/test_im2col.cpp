@@ -1,5 +1,8 @@
-// im2col/col2im/gemm and the equivalence of Conv2d's two algorithms.
+// im2col_batched/col2im_batched/gemm and the equivalence of Conv2d's two
+// algorithms; im2col_block writes only its own column block.
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 #include "core/conv2d.hpp"
 #include "core/im2col.hpp"
@@ -35,7 +38,7 @@ TEST(Im2col, UnfoldsCenterTapExactly) {
   float src[9];
   for (int i = 0; i < 9; ++i) src[i] = static_cast<float>(i + 1);
   std::vector<float> cols(g.col_rows() * g.col_cols());
-  im2col(src, g, cols.data());
+  im2col_batched(src, g, 1, cols.data());
   const float* center = cols.data() + 4 * g.col_cols();  // row kh=1,kw=1
   for (int i = 0; i < 9; ++i) EXPECT_EQ(center[i], src[i]);
   // Top-left tap at output (0,0) reads the zero padding.
@@ -45,7 +48,7 @@ TEST(Im2col, UnfoldsCenterTapExactly) {
 }
 
 TEST(Im2col, Col2imIsAdjointOfIm2col) {
-  // <im2col(x), y> == <x, col2im(y)> for random x, y.
+  // <lower(x), y> == <x, col2im(y)> for random x, y.
   ou::Rng rng(2);
   LoweringGeometry g{.channels = 3, .height = 5, .width = 7, .stride = 2};
   std::vector<float> x(static_cast<std::size_t>(3) * 5 * 7);
@@ -54,12 +57,12 @@ TEST(Im2col, Col2imIsAdjointOfIm2col) {
   for (auto& v : y) v = static_cast<float>(rng.normal(0, 1));
 
   std::vector<float> cols(y.size());
-  im2col(x.data(), g, cols.data());
+  im2col_batched(x.data(), g, 1, cols.data());
   double lhs = 0;
   for (std::size_t i = 0; i < y.size(); ++i) lhs += cols[i] * y[i];
 
   std::vector<float> back(x.size(), 0.0f);
-  col2im(y.data(), g, back.data());
+  col2im_batched(y.data(), g, 1, back.data());
   double rhs = 0;
   for (std::size_t i = 0; i < x.size(); ++i) rhs += x[i] * back[i];
 
@@ -75,11 +78,11 @@ TEST(Im2col, GemmMatchesNaive) {
   for (int i = 0; i < m; ++i)
     for (int p = 0; p < k; ++p)
       for (int j = 0; j < n; ++j) ref[i * n + j] += a[i * k + p] * b[p * n + j];
-  gemm(a.data(), b.data(), c.data(), m, k, n, false);
+  gemm_tiled(a.data(), b.data(), c.data(), m, k, n, false);
   for (int i = 0; i < m * n; ++i) EXPECT_NEAR(c[i], ref[i], 1e-4f);
 
   // Accumulation adds on top.
-  gemm(a.data(), b.data(), c.data(), m, k, n, true);
+  gemm_tiled(a.data(), b.data(), c.data(), m, k, n, true);
   for (int i = 0; i < m * n; ++i) EXPECT_NEAR(c[i], 2 * ref[i], 1e-4f);
 }
 
@@ -101,14 +104,62 @@ TEST(Im2col, GemmTransposedVariants) {
   gemm_at(at.data(), b.data(), c1.data(), m, k, n, false);
   for (int i = 0; i < m * n; ++i) EXPECT_NEAR(c1[i], ref1[i], 1e-4f);
 
-  // gemm_bt: C = A B^T with B stored [n,k].
+  // gemm_bt_tiled: C = A B^T with B stored [n,k].
   std::vector<float> c2(m * n), ref2(m * n, 0.0f);
   for (int i = 0; i < m; ++i)
     for (int j = 0; j < n; ++j)
       for (int p = 0; p < k; ++p)
         ref2[i * n + j] += a[i * k + p] * bt[j * k + p];
-  gemm_bt(a.data(), bt.data(), c2.data(), m, k, n, false);
+  gemm_bt_tiled(a.data(), bt.data(), c2.data(), m, k, n, false);
   for (int i = 0; i < m * n; ++i) EXPECT_NEAR(c2[i], ref2[i], 1e-4f);
+}
+
+TEST(Im2col, BlockLoweringWritesOnlyItsOwnBlock) {
+  // One sample lowered into the middle block of a NaN-filled matrix three
+  // samples wide: every value outside [cc, 2*cc) of each row must still be
+  // NaN, and the block must equal the sample's batch-1 lowering. The
+  // sweep includes pad > H (k = 5, pad = 2 over 1-row planes; k = 7,
+  // pad = 3 over 2-row planes), where a tap's vertical shift exceeds the
+  // plane — under im2col_batched a stray write there lands in a
+  // neighbouring sample's block while another pool task fills it.
+  ou::Rng rng(9);
+  const float nan = std::nanf("");
+  for (int c : {1, 2}) {
+    for (int h : {1, 2, 3, 5}) {
+      for (int w : {1, 3, 4}) {
+        for (int k : {1, 3, 5, 7}) {
+          for (int s : {1, 2}) {
+            for (int pad = 0; pad <= 3; ++pad) {
+              if (h + 2 * pad < k || w + 2 * pad < k) continue;
+              const LoweringGeometry g{.channels = c, .height = h,
+                                       .width = w, .kernel = k,
+                                       .stride = s, .pad = pad};
+              SCOPED_TRACE(testing::Message()
+                           << "c=" << c << " h=" << h << " w=" << w
+                           << " k=" << k << " s=" << s << " pad=" << pad);
+              std::vector<float> x(static_cast<std::size_t>(c) * h * w);
+              for (auto& v : x) v = static_cast<float>(rng.normal(0, 1));
+              const std::size_t cc = g.col_cols(), rows = g.col_rows();
+              std::vector<float> want(rows * cc);
+              im2col_batched(x.data(), g, 1, want.data());
+              std::vector<float> wide(rows * 3 * cc, nan);
+              im2col_block(x.data(), g, 3 * cc, wide.data() + cc);
+              for (std::size_t r = 0; r < rows; ++r) {
+                const float* row = wide.data() + r * 3 * cc;
+                for (std::size_t j = 0; j < cc; ++j) {
+                  ASSERT_TRUE(std::isnan(row[j])) << "row " << r << " left";
+                  ASSERT_TRUE(std::isnan(row[2 * cc + j]))
+                      << "row " << r << " right";
+                  ASSERT_EQ(row[cc + j], want[r * cc + j])
+                      << "row " << r << " col " << j;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 struct AlgoCase {

@@ -14,6 +14,7 @@
 #include <sstream>
 
 #include "runtime/engine.hpp"
+#include "unfused_fixed_reference.hpp"
 #include "util/rng.hpp"
 #include "util/serialize.hpp"
 
@@ -218,15 +219,11 @@ TEST(InferenceEngine, BackendParityWithinQuantizationTolerance) {
   BackendConfig fixed_cpu;  // default: int16 integer datapath
   fixed_cpu.backend = core::ExecBackend::kFixed;
   fixed_cpu.per_image_batch_norm = true;
-  BackendConfig fixed_carrier;  // float-carrier comparator, PR 6 precision
-  fixed_carrier.backend = core::ExecBackend::kFixed;
-  fixed_carrier.per_image_batch_norm = true;
-  fixed_carrier.fixed_float_carrier = true;
   BackendConfig fpga_sim;
   fpga_sim.backend = core::ExecBackend::kFpgaSim;  // offloads every ODE stage
-  cfg.backends = {float_ref, fixed_cpu, fpga_sim, fixed_carrier};
+  cfg.backends = {float_ref, fixed_cpu, fpga_sim};
   InferenceEngine engine(net, cfg);
-  ASSERT_EQ(engine.backend_count(), 4u);
+  ASSERT_EQ(engine.backend_count(), 3u);
 
   util::Rng rng(77);
   core::Tensor image = random_image(rng);
@@ -238,14 +235,27 @@ TEST(InferenceEngine, BackendParityWithinQuantizationTolerance) {
   InferenceResult rf = engine.submit(image, pinned(0)).get();
   InferenceResult rq = engine.submit(image, pinned(1)).get();
   InferenceResult ra = engine.submit(image, pinned(2)).get();
-  InferenceResult rc = engine.submit(image, pinned(3)).get();
+  // The float-carrier oracle (Q11.20 activations on float operands) on a
+  // replica set up like the engine's: same weights, per-image BN.
+  models::Network replica = make_net(7);
+  replica.set_training(false);
+  for (auto& stage : replica.stages()) {
+    if (!stage->is_empty() && stage->is_ode()) {
+      stage->ode()->block().bn1().set_use_batch_stats_in_eval(true);
+      stage->ode()->block().bn2().set_use_batch_stats_in_eval(true);
+    }
+  }
+  odenet::testing::UnfusedFixedReference carrier(20, /*float_only=*/true);
+  core::Tensor batch1({1, 3, 16, 16});
+  std::copy_n(image.data(), image.numel(), batch1.data());
+  const core::Tensor rc =
+      replica.forward_with(batch1, models::StagePlan(&carrier));
 
-  EXPECT_LT(max_abs_diff(rf.logits, rc.logits), 1e-3);   // Q11.20 activations
+  EXPECT_LT(max_abs_diff(rf.logits, rc), 1e-3);          // Q11.20 activations
   EXPECT_LT(max_abs_diff(rf.logits, rq.logits), 0.1);    // int16 operand grid
   EXPECT_LT(max_abs_diff(rf.logits, ra.logits), 0.15);   // full PL datapath
   EXPECT_EQ(rf.pl_cycles, 0u);
   EXPECT_EQ(rq.pl_cycles, 0u);
-  EXPECT_EQ(rc.pl_cycles, 0u);
   EXPECT_GT(ra.pl_cycles, 0u);
 }
 
@@ -287,11 +297,24 @@ TEST(InferenceEngine, StatsFoldPlCyclesAndEmitJson) {
   EXPECT_NE(json.find("\"promotions\""), std::string::npos);
   EXPECT_NE(json.find("\"arena_capacity_floats\""), std::string::npos);
 
-  // Arena-pool gauges: serving materialized scratch, and a steady workload
-  // stops growing it.
+  // Arena-pool gauges: serving checked out a scratch arena. The fpga_sim
+  // backend offloads every ODE stage and its CPU convs gather straight
+  // from the image, so the scratch that serving materializes is measured
+  // on a float backend, whose ODE convs augment their time plane there.
   EXPECT_GE(stats.backends[0].arenas, 1u);
-  EXPECT_GT(stats.backends[0].arena_capacity_floats, 0u);
-  EXPECT_GE(stats.backends[0].arena_growths, 1u);
+  EngineConfig float_cfg;
+  float_cfg.max_batch = 2;
+  float_cfg.max_delay = std::chrono::microseconds(500);
+  InferenceEngine float_engine(net, float_cfg);
+  std::vector<std::future<InferenceResult>> float_futures;
+  for (int i = 0; i < 4; ++i) {
+    float_futures.push_back(float_engine.submit(random_image(rng)));
+  }
+  for (auto& f : float_futures) (void)f.get();
+  const auto float_stats = float_engine.stats();
+  EXPECT_GE(float_stats.backends[0].arenas, 1u);
+  EXPECT_GT(float_stats.backends[0].arena_capacity_floats, 0u);
+  EXPECT_GE(float_stats.backends[0].arena_growths, 1u);
 }
 
 TEST(InferenceEngine, MalformedImageFailsItsFutureOnly) {

@@ -51,12 +51,10 @@ HIGHER_BETTER_ABSOLUTE = {
 # (best-of-3 in the bench) and doubles as the shed_protects acceptance.
 HIGHER_BETTER_RELATIVE = {
     "batched_speedup",
-    "batched_conv_speedup",
     "routing_speedup",
     "batched_fwd_speedup_b16",
     "batched_bwd_speedup_b16",
-    "fixed_conv_speedup",
-    "fixed_int_speedup",
+    "fixed_vs_float_speedup",
     "fused_ode_speedup",
     "fused_conv_bn_relu_speedup",
     "shed_goodput_ratio",
@@ -79,15 +77,11 @@ LOWER_BETTER_RELATIVE = set()
 # core-starved runner producer and worker time-slice one core and the
 # verdict flaps 50/50 with no code change, so they stay in the artifacts
 # but out of the gate (best_batched_images_per_sec numerically gates the
-# same regression). fixed_int_wins is the same kind of verdict — a ~1.05x
-# margin that a sustained runner slowdown can push under 1.0 with no code
-# change — so the int16-vs-float-carrier regression is gated numerically
-# through fixed_int_speedup's 20% band instead.
+# same regression). The fixed backend's worth is gated numerically through
+# fixed_vs_float_speedup's 20% band (fixed vs float img/s, same run).
 BOOLEAN_GATES = {
-    "batched_conv_wins",
     "routing_wins",
     "meets_1p5x",
-    "fixed_meets_1p5x",
     "fused_ode_wins",
     "dip_within_25pct",
     "shed_protects",
