@@ -13,10 +13,13 @@
 //     (ConvAlgo::kIm2col, the default).
 // Forward is timed in eval mode, forward+backward in training mode.
 //
-// Two A/B sections follow the algorithm grid, both on the batch-16
+// Three A/B sections follow the algorithm grid, all on the batch-16
 // batched path:
 //   * simd    — the active micro-kernel ISA vs the scalar fallback
 //     (gemm_force_scalar), isolating the AVX2/FMA win;
+//   * fused   — conv+BN+ReLU as one GEMM with the epilogue in the output
+//     tile vs the three-layer chain: the median of nine interleaved pairs
+//     of >= 20 ms trials (gated in the summary row);
 //   * threads — the same forward on a 1/2/4/all-worker kernel pool
 //     (set_kernel_pool), isolating the panel-split scaling.
 //
@@ -152,57 +155,56 @@ double time_batched_fwd(const Tensor& weights, const Tensor& x, int reps) {
   return watch.seconds() / reps;
 }
 
-/// Mean seconds per eval-mode conv+BN+ReLU step: fused runs ONE GEMM with
+/// The eval-mode conv+BN+ReLU step of the fused A/B, built once so every
+/// trial of both arms times the same parameters: fused runs ONE GEMM with
 /// the folded BN affine and ReLU applied in the output tile
 /// (Conv2d::forward_fused); unfused runs the three-layer chain the serving
 /// path used before the epilogue family existed.
-double time_conv_bn_relu(const Tensor& weights, const Tensor& x, int reps,
-                         bool fused, util::Rng& rng) {
-  const int channels = weights.dim(0);
-  Conv2d conv({.in_channels = channels,
-               .out_channels = channels,
+class ConvBnReluStep {
+ public:
+  ConvBnReluStep(const Tensor& weights, util::Rng& rng)
+      : conv_({.in_channels = weights.dim(0),
+               .out_channels = weights.dim(0),
                .kernel = 3,
                .stride = 1,
                .pad = 1,
                .time_channel = true,
-               .algo = ConvAlgo::kIm2col});
-  conv.weight().value = weights;
-  conv.set_time(0.5f);
-  conv.set_weight_version(1);
-  conv.set_training(false);
-  core::BatchNorm2d bn(channels);
-  for (int c = 0; c < channels; ++c) {
-    bn.gamma().value.at1(c) = static_cast<float>(rng.uniform(0.5, 1.5));
-    bn.beta().value.at1(c) = static_cast<float>(rng.normal(0.0, 0.3));
-    bn.running_mean().at1(c) = static_cast<float>(rng.normal(0.0, 0.5));
-    bn.running_var().at1(c) = static_cast<float>(rng.uniform(0.5, 2.0));
-  }
-  bn.set_training(false);
-  core::ReLU relu;
-  relu.set_training(false);
-
-  if (fused) {
-    std::vector<float> scale, shift;
-    bn.fold_eval_affine(scale, shift);
-    core::ConvEpilogue ep;
-    ep.scale = scale.data();
-    ep.shift = shift.data();
-    ep.relu = true;
-    Tensor out;
-    conv.forward_fused(x, ep, out, /*accumulate=*/false);  // warm-up
-    util::Stopwatch watch;
-    for (int r = 0; r < reps; ++r) {
-      conv.forward_fused(x, ep, out, /*accumulate=*/false);
+               .algo = ConvAlgo::kIm2col}),
+        bn_(weights.dim(0)) {
+    conv_.weight().value = weights;
+    conv_.set_time(0.5f);
+    conv_.set_weight_version(1);
+    conv_.set_training(false);
+    for (int c = 0; c < weights.dim(0); ++c) {
+      bn_.gamma().value.at1(c) = static_cast<float>(rng.uniform(0.5, 1.5));
+      bn_.beta().value.at1(c) = static_cast<float>(rng.normal(0.0, 0.3));
+      bn_.running_mean().at1(c) = static_cast<float>(rng.normal(0.0, 0.5));
+      bn_.running_var().at1(c) = static_cast<float>(rng.uniform(0.5, 2.0));
     }
-    return watch.seconds() / reps;
+    bn_.set_training(false);
+    relu_.set_training(false);
+    bn_.fold_eval_affine(scale_, shift_);
+    ep_.scale = scale_.data();
+    ep_.shift = shift_.data();
+    ep_.relu = true;
   }
-  (void)relu.forward(bn.forward(conv.forward(x)));  // warm-up
-  util::Stopwatch watch;
-  for (int r = 0; r < reps; ++r) {
-    (void)relu.forward(bn.forward(conv.forward(x)));
+
+  void run(const Tensor& x, bool fused) {
+    if (fused) {
+      conv_.forward_fused(x, ep_, out_, /*accumulate=*/false);
+    } else {
+      out_ = relu_.forward(bn_.forward(conv_.forward(x)));
+    }
   }
-  return watch.seconds() / reps;
-}
+
+ private:
+  Conv2d conv_;
+  core::BatchNorm2d bn_;
+  core::ReLU relu_;
+  std::vector<float> scale_, shift_;
+  core::ConvEpilogue ep_;
+  Tensor out_;
+};
 
 }  // namespace
 
@@ -273,25 +275,52 @@ int main(int argc, char** argv) {
               simd_speedup);
 
   // --- fused epilogue A/B: conv+BN+ReLU as one GEMM vs the layer chain --
-  // Interleaved pairwise best-of-5 so host drift hits both arms alike.
-  double fused_sec = 0.0, unfused_sec = 0.0;
-  for (int t = 0; t < 5; ++t) {
-    const double f = time_conv_bn_relu(weights, x16, ab_reps, true, rng);
-    const double u = time_conv_bn_relu(weights, x16, ab_reps, false, rng);
-    if (t == 0 || f < fused_sec) fused_sec = f;
-    if (t == 0 || u < unfused_sec) unfused_sec = u;
+  // Nine interleaved fused/unfused trials of >= 20 ms of calls each (the
+  // arm that goes first alternates), so host drift hits both arms alike;
+  // the gated speedup is the median of the nine per-pair ratios, with
+  // their quartiles as its spread.
+  constexpr int kFusedTrials = 9;
+  constexpr double kTrialSeconds = 0.02;
+  ConvBnReluStep step(weights, rng);
+  step.run(x16, true);  // warm-up: packed weights, arena, output buffers
+  step.run(x16, false);
+  auto fused_call = [&] { step.run(x16, true); };
+  auto unfused_call = [&] { step.run(x16, false); };
+  std::vector<double> fused_trials, unfused_trials, pair_speedups;
+  for (int t = 0; t < kFusedTrials; ++t) {
+    double f = 0.0, u = 0.0;
+    if (t % 2 == 0) {
+      f = util::seconds_per_call(fused_call, kTrialSeconds);
+      u = util::seconds_per_call(unfused_call, kTrialSeconds);
+    } else {
+      u = util::seconds_per_call(unfused_call, kTrialSeconds);
+      f = util::seconds_per_call(fused_call, kTrialSeconds);
+    }
+    fused_trials.push_back(f);
+    unfused_trials.push_back(u);
+    pair_speedups.push_back(u / f);
   }
-  const double fused_speedup = fused_sec > 0.0 ? unfused_sec / fused_sec : 0.0;
-  std::printf("\n--- fused conv+BN+ReLU A/B (eval fwd, batch %d) ---\n",
-              ab_batch);
+  const double fused_sec = util::quantile(fused_trials, 0.5);
+  const double unfused_sec = util::quantile(unfused_trials, 0.5);
+  const double fused_speedup = util::quantile(pair_speedups, 0.5);
+  std::printf("\n--- fused conv+BN+ReLU A/B (eval fwd, batch %d, median of "
+              "%d pairs) ---\n",
+              ab_batch, kFusedTrials);
   std::printf("%-11s %12.6f s  %12.1f img/s\n", "fused", fused_sec,
               ab_batch / fused_sec);
-  std::printf("%-11s %12.6f s  %12.1f img/s  (%.2fx from fusion)\n",
-              "unfused", unfused_sec, ab_batch / unfused_sec, fused_speedup);
+  std::printf("%-11s %12.6f s  %12.1f img/s  (%.2fx from fusion, IQR "
+              "%.2f-%.2f)\n",
+              "unfused", unfused_sec, ab_batch / unfused_sec, fused_speedup,
+              util::quantile(pair_speedups, 0.25),
+              util::quantile(pair_speedups, 0.75));
   std::printf("JSON {\"bench\":\"conv_gemm\",\"fused_ab\":true,\"batch\":%d,"
+              "\"trials\":%d,\"trial_seconds\":%.3f,"
               "\"fused_fwd_seconds\":%.6f,\"unfused_fwd_seconds\":%.6f,"
-              "\"fused_conv_bn_relu_speedup\":%.4f}\n",
-              ab_batch, fused_sec, unfused_sec, fused_speedup);
+              "\"fused_conv_bn_relu_speedup\":%.4f,"
+              "\"speedup_q1\":%.4f,\"speedup_q3\":%.4f}\n",
+              ab_batch, kFusedTrials, kTrialSeconds, fused_sec, unfused_sec,
+              fused_speedup, util::quantile(pair_speedups, 0.25),
+              util::quantile(pair_speedups, 0.75));
 
   // --- thread scaling: 1/2/4/all workers on the kernel pool -------------
   std::printf("\n--- thread scaling (batched fwd, batch %d) ---\n", ab_batch);

@@ -1,16 +1,85 @@
 // Reproduces the §3.1 cycle series: layer3_2 execution cycles with 1, 4,
 // 8, 16 and 32 multiply-add units (23.78 / 6.07 / 3.12 / 1.64 / 0.90
 // Mcycles in the paper), and the per-layer breakdown at conv_x16.
+//
+// It ends with the host cost of simulating that conv: the functional
+// ConvEngine::run at the layer3_2 geometry (64 -> 64 channels, 8x8, time
+// plane), in GMAC/s on the dispatched kernel and on the forced-scalar
+// one. One ungated JSON row: the median and quartiles of nine interleaved
+// trials of >= 20 ms each, with the host fingerprint.
 #include <cstdio>
+#include <thread>
+#include <vector>
 
+#include "core/gemm_kernels.hpp"
 #include "fpga/bn_engine.hpp"
 #include "fpga/conv_engine.hpp"
 #include "fpga/device.hpp"
+#include "util/rng.hpp"
+#include "util/stopwatch.hpp"
 #include "util/table.hpp"
 
 using namespace odenet;
 using fpga::BnEngine;
 using fpga::ConvEngine;
+
+namespace {
+
+void print_pl_conv_host_cost() {
+  constexpr int kCh = 64, kExtent = 8, kTrials = 9;
+  constexpr double kTrialSeconds = 0.02;
+  util::Rng rng(1);
+  fixed::FixedTensor w, x;
+  w.shape = {kCh, kCh + 1, 3, 3};
+  for (int i = 0; i < kCh * (kCh + 1) * 9; ++i) {
+    w.raw.push_back(
+        static_cast<std::int32_t>(rng.normal(0.0, 0.05) * (1 << 20)));
+  }
+  x.shape = {kCh, kExtent, kExtent};
+  for (int i = 0; i < kCh * kExtent * kExtent; ++i) {
+    x.raw.push_back(
+        static_cast<std::int32_t>(rng.normal(0.0, 1.0) * (1 << 20)));
+  }
+  ConvEngine engine({.in_channels = kCh, .out_channels = kCh,
+                     .extent = kExtent, .parallelism = 16});
+  engine.load_weights(w);
+  const char* isa = core::gemm_isa_name();
+  const double macs = 9.0 * kCh * kCh * kExtent * kExtent;
+  auto run = [&] { (void)engine.run(x, 0.75f); };
+  run();  // warm-up
+  std::vector<double> dispatched, scalar;
+  for (int t = 0; t < kTrials; ++t) {
+    for (int arm = 0; arm < 2; ++arm) {
+      // Alternate which arm goes first so host drift hits both alike.
+      const bool forced = (arm == 0) == (t % 2 == 1);
+      core::gemm_force_scalar(forced);
+      (forced ? scalar : dispatched)
+          .push_back(macs / util::seconds_per_call(run, kTrialSeconds) / 1e9);
+    }
+  }
+  core::gemm_force_scalar(false);
+  std::printf("\nhost cost of the functional PL conv (%dch %dx%d, time "
+              "plane), median of %d interleaved trials:\n"
+              "  %-9s %6.2f GMAC/s\n  %-9s %6.2f GMAC/s\n",
+              kCh, kExtent, kExtent, kTrials, isa,
+              util::quantile(dispatched, 0.5), "scalar",
+              util::quantile(scalar, 0.5));
+  std::printf("JSON {\"bench\":\"conv_scaling\",\"pl_conv_host\":true,"
+              "\"channels\":%d,\"extent\":%d,\"trials\":%d,"
+              "\"trial_seconds\":%.3f,\"isa\":\"%s\","
+              "\"dispatched_gmacs\":%.3f,\"dispatched_gmacs_q1\":%.3f,"
+              "\"dispatched_gmacs_q3\":%.3f,\"scalar_gmacs\":%.3f,"
+              "\"scalar_gmacs_q1\":%.3f,\"scalar_gmacs_q3\":%.3f,"
+              "\"nproc\":%u,\"compiler\":\"%s\"}\n",
+              kCh, kExtent, kTrials, kTrialSeconds, isa,
+              util::quantile(dispatched, 0.5),
+              util::quantile(dispatched, 0.25),
+              util::quantile(dispatched, 0.75), util::quantile(scalar, 0.5),
+              util::quantile(scalar, 0.25), util::quantile(scalar, 0.75),
+              std::thread::hardware_concurrency(), __VERSION__);
+}
+
+}  // namespace
 
 int main() {
   std::printf("=== §3.1: layer3_2 execution cycles vs MAC parallelism ===\n\n");
@@ -68,5 +137,6 @@ int main() {
   std::printf("BN cost grows with feature-map elements, so layer1 (16384\n"
               "elems) pays the largest non-parallelizable part — why its\n"
               "PL time (21.3 ms) exceeds layer3_2's (16.4 ms).\n");
+  print_pl_conv_host_cost();
   return 0;
 }

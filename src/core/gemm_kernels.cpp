@@ -155,6 +155,36 @@ void tile4x16_i16_scalar(const std::int16_t* apanel,
   }
 }
 
+/// Scalar direct 3x3 conv tile over the zero-padded plane stack. Products
+/// are exact in int64 (|a*w| <= 2^62); the running sums are uint64, so
+/// wraparound is defined and matches `_mm256_mul_epi32` +
+/// `_mm256_add_epi64` lane for lane.
+void conv3x3_i32_scalar(const std::int32_t* wpanel, const std::int32_t* in,
+                        int channels, std::size_t plane_stride,
+                        std::size_t row_stride, std::int64_t* acc) {
+  std::uint64_t sum[kConvTileOut][kConvTilePos] = {};
+  for (int tap = 0; tap < 9; ++tap) {
+    const std::int32_t* x = in + (tap / 3) * row_stride + tap % 3;
+    const std::int32_t* wt =
+        wpanel + static_cast<std::size_t>(tap) * channels * kConvTileOut;
+    for (int c = 0; c < channels; ++c) {
+      for (int i = 0; i < kConvTileOut; ++i) {
+        const std::int64_t wi = wt[i];
+        for (int j = 0; j < kConvTilePos; ++j) {
+          sum[i][j] += static_cast<std::uint64_t>(wi * x[j]);
+        }
+      }
+      x += plane_stride;
+      wt += kConvTileOut;
+    }
+  }
+  for (int i = 0; i < kConvTileOut; ++i) {
+    for (int j = 0; j < kConvTilePos; ++j) {
+      acc[i * kConvTilePos + j] = static_cast<std::int64_t>(sum[i][j]);
+    }
+  }
+}
+
 /// One float through the saturating Q(frac_bits) rounding used by every
 /// quantize kernel: NaN -> 0, round half away from zero, clamp in the
 /// DOUBLE domain (casting an out-of-range double to an integer is UB, so
@@ -301,7 +331,8 @@ void tile4x16_i16_ep_scalar(const std::int16_t* apanel,
 
 constexpr GemmKernels kScalarKernels{tile4x16_scalar,  dot_scalar,
                                      tile4x16_i16_scalar,
-                                     tile4x16_i16_ep_scalar, qdq_f32_scalar,
+                                     tile4x16_i16_ep_scalar,
+                                     conv3x3_i32_scalar, qdq_f32_scalar,
                                      quant_f32_i16_scalar, requant_i32_scalar,
                                      max_abs_f32_scalar, tile4x16_ep_scalar,
                                      relu_f32_scalar, axpy_f32_scalar,

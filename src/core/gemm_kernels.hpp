@@ -90,6 +90,26 @@ using GemmTileI16Ep4x16Fn = void (*)(const std::int16_t* apanel,
                                      int round_shift, int frac_bits,
                                      bool relu, float beta);
 
+/// Direct 3x3 conv tile of the FPGA-sim PL conv engine: 4 output channels
+/// x 8 consecutive output positions of one row, int32 x int32 -> int64,
+/// reduced over `channels` input planes and the 9 taps:
+///   acc[i*8 + j] = sum_{c, kh, kw}
+///       wpanel[((kh*3 + kw)*channels + c)*4 + i] *
+///       in[c*plane_stride + kh*row_stride + kw + j]
+/// `in` points at the top-left tap of position 0 inside a zero-padded
+/// plane stack, `wpanel` at one packed [9][channels][4] output-channel
+/// panel. Reads may run up to 8 int32 past the last tap (callers pad the
+/// stack's tail). The sum is two's-complement wraparound mod 2^64 (never
+/// UB): integer addition is associative mod 2^64, so every ISA and tile
+/// order gives bitwise-identical acc, equal to the exact sum whenever that
+/// fits int64.
+inline constexpr int kConvTileOut = 4;
+inline constexpr int kConvTilePos = 8;
+using Conv3x3TileI32Fn = void (*)(const std::int32_t* wpanel,
+                                  const std::int32_t* in, int channels,
+                                  std::size_t plane_stride,
+                                  std::size_t row_stride, std::int64_t* acc);
+
 /// Saturating Q(frac_bits) quantize/dequantize round trip over a float
 /// span, elementwise — fixed::qdq_inplace's inner loop, lifted into the
 /// kernel table so the SIMD TU can vectorize it. Bitwise identical to
@@ -161,6 +181,7 @@ struct GemmKernels {
   GemmDotFn dot;
   GemmTileI16Fn tile4x16_i16;
   GemmTileI16Ep4x16Fn tile4x16_i16_ep;
+  Conv3x3TileI32Fn conv3x3_i32;
   QdqF32Fn qdq_f32;
   QuantF32ToI16Fn quant_f32_i16;
   RequantI32Fn requant_i32;

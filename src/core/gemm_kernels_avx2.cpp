@@ -220,6 +220,68 @@ void tile4x16_i16_avx2(const std::int16_t* apanel, const std::int16_t* bpanel,
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + 3 * ldc + 8), c31);
 }
 
+/// One tap of the direct conv tile: the 4 channel weights (broadcast to
+/// every dword; `_mm256_mul_epi32` reads the even ones) times the even and
+/// odd output positions, exact int64 products, wrapping int64 sums.
+inline void conv3x3_tap(const std::int32_t* w4, __m256i xe, __m256i xo,
+                        __m256i& e0, __m256i& o0, __m256i& e1, __m256i& o1,
+                        __m256i& e2, __m256i& o2, __m256i& e3, __m256i& o3) {
+  const __m256i w0 = _mm256_set1_epi32(w4[0]);
+  e0 = _mm256_add_epi64(e0, _mm256_mul_epi32(w0, xe));
+  o0 = _mm256_add_epi64(o0, _mm256_mul_epi32(w0, xo));
+  const __m256i w1 = _mm256_set1_epi32(w4[1]);
+  e1 = _mm256_add_epi64(e1, _mm256_mul_epi32(w1, xe));
+  o1 = _mm256_add_epi64(o1, _mm256_mul_epi32(w1, xo));
+  const __m256i w2 = _mm256_set1_epi32(w4[2]);
+  e2 = _mm256_add_epi64(e2, _mm256_mul_epi32(w2, xe));
+  o2 = _mm256_add_epi64(o2, _mm256_mul_epi32(w2, xo));
+  const __m256i w3 = _mm256_set1_epi32(w4[3]);
+  e3 = _mm256_add_epi64(e3, _mm256_mul_epi32(w3, xe));
+  o3 = _mm256_add_epi64(o3, _mm256_mul_epi32(w3, xo));
+}
+
+/// Stores one channel's even/odd accumulators in position order.
+inline void conv3x3_store(__m256i e, __m256i o, std::int64_t* dst) {
+  const __m256i lo = _mm256_unpacklo_epi64(e, o);  // p0 p1 | p4 p5
+  const __m256i hi = _mm256_unpackhi_epi64(e, o);  // p2 p3 | p6 p7
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst),
+                      _mm256_permute2x128_si256(lo, hi, 0x20));
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + 4),
+                      _mm256_permute2x128_si256(lo, hi, 0x31));
+}
+
+/// Direct 3x3 conv tile. `_mm256_mul_epi32` multiplies the even dword of
+/// each qword lane, so an unaligned 8-dword load at the tap feeds the even
+/// positions (0,2,4,6) and one at tap + 1 the odd positions (1,3,5,7) —
+/// no shuffles. The channel loop is innermost so every accumulator takes
+/// one add per iteration: with the taps innermost the compiler
+/// reassociates each accumulator's 9-product chain into a tree and spills
+/// the products.
+void conv3x3_i32_avx2(const std::int32_t* wpanel, const std::int32_t* in,
+                      int channels, std::size_t plane_stride,
+                      std::size_t row_stride, std::int64_t* acc) {
+  __m256i e0, o0, e1, o1, e2, o2, e3, o3;
+  e0 = o0 = e1 = o1 = e2 = o2 = e3 = o3 = _mm256_setzero_si256();
+  for (int tap = 0; tap < 9; ++tap) {
+    const std::int32_t* x = in + (tap / 3) * row_stride + tap % 3;
+    const std::int32_t* wt =
+        wpanel + static_cast<std::size_t>(tap) * channels * kConvTileOut;
+    for (int c = 0; c < channels; ++c) {
+      const __m256i xe =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x));
+      const __m256i xo =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + 1));
+      conv3x3_tap(wt, xe, xo, e0, o0, e1, o1, e2, o2, e3, o3);
+      x += plane_stride;
+      wt += kConvTileOut;
+    }
+  }
+  conv3x3_store(e0, o0, acc + 0 * kConvTilePos);
+  conv3x3_store(e1, o1, acc + 1 * kConvTilePos);
+  conv3x3_store(e2, o2, acc + 2 * kConvTilePos);
+  conv3x3_store(e3, o3, acc + 3 * kConvTilePos);
+}
+
 /// Vector twin of the scalar quantize_raw_double: 4 doubles at a time.
 /// round-half-away-from-zero = trunc(s + copysign(0.5, s)); NaN lanes are
 /// zeroed via an ordered-compare mask; the final +0.0 normalizes -0.0 so
@@ -505,7 +567,7 @@ void affine_f32_avx2(const float* src, float* dst, std::size_t n, float scale,
 
 constexpr GemmKernels kAvx2Kernels{tile4x16_avx2,     dot_avx2,
                                    tile4x16_i16_avx2, tile4x16_i16_ep_avx2,
-                                   qdq_f32_avx2,
+                                   conv3x3_i32_avx2, qdq_f32_avx2,
                                    quant_f32_i16_avx2, requant_i32_avx2,
                                    max_abs_f32_avx2, tile4x16_ep_avx2,
                                    relu_f32_avx2, axpy_f32_avx2,

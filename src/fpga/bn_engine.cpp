@@ -1,9 +1,44 @@
 #include "fpga/bn_engine.hpp"
 
+#include <cstdint>
+#include <limits>
+
 #include "fixed/fixed_math.hpp"
 #include "util/check.hpp"
 
 namespace odenet::fpga {
+namespace {
+// 128-bit intermediates keep the variance sum and the normalize products
+// defined on rail inputs (GCC/Clang builtin on every 64-bit target).
+using Wide = unsigned __int128;
+using SWide = __int128;
+
+/// Pass 3 over one plane:
+/// y = qmul(qmul(x - mean, inv_std), gamma) + beta (+ ReLU), saturated to
+/// the 32-bit raw; qmul is the Q(fb) product rounded half away from zero.
+/// The products need up to 2^93 and 2^124 on rail inputs: 128 bits.
+void normalize_plane(const std::int32_t* src, std::int32_t* dst,
+                     std::size_t n, std::int64_t mean, std::int64_t inv_std,
+                     std::int64_t gamma, std::int64_t beta, int fb,
+                     bool relu) {
+  const SWide half = SWide{1} << (fb - 1);
+  auto qmul = [fb, half](SWide a, SWide v) {
+    const SWide p = a * v;
+    return p >= 0 ? (p + half) >> fb : -((-p + half) >> fb);
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const SWide centered = static_cast<std::int64_t>(src[i]) - mean;
+    SWide y = qmul(qmul(centered, inv_std), gamma) + beta;
+    if (relu && y < 0) y = 0;
+    if (y > std::numeric_limits<std::int32_t>::max()) {
+      y = std::numeric_limits<std::int32_t>::max();
+    } else if (y < std::numeric_limits<std::int32_t>::min()) {
+      y = std::numeric_limits<std::int32_t>::min();
+    }
+    dst[i] = static_cast<std::int32_t>(y);
+  }
+}
+}  // namespace
 
 BnEngine::BnEngine(const BnEngineConfig& cfg) : cfg_(cfg) {
   ODENET_CHECK(cfg.channels > 0 && cfg.extent > 0,
@@ -69,53 +104,38 @@ fixed::FixedTensor BnEngine::run(const fixed::FixedTensor& input,
     }
 
     // Pass 2: variance. (x - mean)^2 accumulates at Q(2*fb); the final
-    // value is brought back to Q(fb) after the mean division.
-    std::int64_t sq = 0;
+    // value is brought back to Q(fb) after the mean division. |d| < 2^32,
+    // so each square fits uint64 but their sum needs 128 bits on rail
+    // inputs (an 8x8 plane alternating INT32_MIN/INT32_MAX sums to ~2^68).
+    Wide sq = 0;
     for (std::size_t i = 0; i < plane; ++i) {
       const std::int64_t d = static_cast<std::int64_t>(src[i]) - mean_raw;
-      sq += d * d;  // Q(2*fb); fits: |d| < 2^31, plane <= 2^10 -> < 2^72?
-                    // No: |d| <= 2^31 is the raw bound, but activations are
-                    // bounded by the Q-format's value range post-conv.
+      const std::uint64_t mag = static_cast<std::uint64_t>(d < 0 ? -d : d);
+      sq += mag * mag;
     }
-    std::int64_t var_raw;  // Q(fb)
-    if ((plane & (plane - 1)) == 0) {
-      int shift = 0;
-      while ((std::size_t{1} << shift) < plane) ++shift;
-      var_raw = (sq >> shift) >> fb;
-    } else {
-      var_raw = fixed::idiv_i64(sq, static_cast<std::int64_t>(plane)) >> fb;
-    }
+    // The mean square is at most max d^2 < 2^64, so var_raw < 2^63.
+    const auto var_raw =
+        static_cast<std::int64_t>((sq / plane) >> fb);  // Q(fb)
 
     // sqrt(var + eps) with the bit-serial unit, then one division for
-    // inv_std = 1/std (per channel, not per element).
-    const std::uint64_t radicand =
-        static_cast<std::uint64_t>(var_raw + eps_raw) << fb;
-    const auto std_raw =
-        static_cast<std::int64_t>(fixed::isqrt_u64(radicand));  // Q(fb)
+    // inv_std = 1/std (per channel, not per element). The radicand
+    // saturates at the unit's 64-bit width (reachable only for fb >= 25
+    // with near-rail variance).
+    constexpr std::uint64_t kRadicandMax =
+        std::numeric_limits<std::uint64_t>::max();
+    const Wide radicand = static_cast<Wide>(var_raw + eps_raw) << fb;
+    const auto std_raw = static_cast<std::int64_t>(  // Q(fb)
+        fixed::isqrt_u64(radicand > kRadicandMax
+                             ? kRadicandMax
+                             : static_cast<std::uint64_t>(radicand)));
     const std::int64_t inv_std_raw =
         fixed::idiv_i64(one << fb, std_raw);  // Q(fb)
 
-    // Pass 3: normalize: ((x - mean) * inv_std) * gamma + beta.
-    const std::int64_t g = gamma_[static_cast<std::size_t>(c)];
-    const std::int64_t b = beta_[static_cast<std::size_t>(c)];
-    const std::int64_t half = std::int64_t{1} << (fb - 1);
-    auto qmul = [fb, half](std::int64_t a, std::int64_t v) {
-      const std::int64_t p = a * v;
-      return p >= 0 ? (p + half) >> fb : -((-p + half) >> fb);
-    };
-    for (std::size_t i = 0; i < plane; ++i) {
-      const std::int64_t centered =
-          static_cast<std::int64_t>(src[i]) - mean_raw;
-      std::int64_t y = qmul(qmul(centered, inv_std_raw), g) + b;
-      if (cfg_.fused_relu && y < 0) y = 0;
-      // Saturate to 32-bit raw.
-      if (y > std::numeric_limits<std::int32_t>::max()) {
-        y = std::numeric_limits<std::int32_t>::max();
-      } else if (y < std::numeric_limits<std::int32_t>::min()) {
-        y = std::numeric_limits<std::int32_t>::min();
-      }
-      dst[i] = static_cast<std::int32_t>(y);
-    }
+    // Pass 3: normalize: ((x - mean) * inv_std) * gamma + beta, saturated
+    // once to the 32-bit raw.
+    normalize_plane(src, dst, plane, mean_raw, inv_std_raw,
+                    gamma_[static_cast<std::size_t>(c)],
+                    beta_[static_cast<std::size_t>(c)], fb, cfg_.fused_relu);
   }
 
   if (cycles != nullptr) *cycles += cycles_per_run();

@@ -1,5 +1,9 @@
 #include "fpga/conv_engine.hpp"
 
+#include <algorithm>
+
+#include "core/gemm_kernels.hpp"
+
 namespace odenet::fpga {
 
 ConvEngine::ConvEngine(const ConvEngineConfig& cfg)
@@ -20,23 +24,42 @@ void ConvEngine::load_weights(const fixed::FixedTensor& w) {
                "weights must have Cin or Cin+1 input planes, got " << ci);
   has_time_weights_ = (ci == cfg_.in_channels + 1);
 
+  constexpr int kTile = core::kConvTileOut;
+  const int cin = cfg_.in_channels;
+  const int panels = (co + kTile - 1) / kTile;
   const std::size_t per_out_in = static_cast<std::size_t>(ci) * 9;
-  weights_.assign(static_cast<std::size_t>(co) * cfg_.in_channels * 9, 0);
-  time_weights_.assign(has_time_weights_ ? static_cast<std::size_t>(co) * 9 : 0,
-                       0);
+  packed_.assign(static_cast<std::size_t>(panels) * cin * 9 * kTile, 0);
   for (int o = 0; o < co; ++o) {
-    for (int c = 0; c < cfg_.in_channels; ++c) {
+    std::int32_t* panel = packed_.data() +
+                          static_cast<std::size_t>(o / kTile) * cin * 9 * kTile;
+    for (int c = 0; c < cin; ++c) {
       for (int k = 0; k < 9; ++k) {
-        weights_[(static_cast<std::size_t>(o) * cfg_.in_channels + c) * 9 + k] =
+        panel[(static_cast<std::size_t>(k) * cin + c) * kTile + o % kTile] =
             w.raw[static_cast<std::size_t>(o) * per_out_in +
                   static_cast<std::size_t>(c) * 9 + k];
       }
     }
-    if (has_time_weights_) {
-      for (int k = 0; k < 9; ++k) {
-        time_weights_[static_cast<std::size_t>(o) * 9 + k] =
-            w.raw[static_cast<std::size_t>(o) * per_out_in +
-                  static_cast<std::size_t>(cfg_.in_channels) * 9 + k];
+  }
+
+  // Time plane: a constant input t at every in-bounds position, so each
+  // output sees t times the sum of its in-bounds time taps (edges see
+  // fewer taps because padding is zero, not t).
+  time_tap_sum_.clear();
+  if (!has_time_weights_) return;
+  const int h = cfg_.extent;
+  time_tap_sum_.reserve(static_cast<std::size_t>(co) * h * h);
+  for (int o = 0; o < co; ++o) {
+    const std::int32_t* tw = w.raw.data() +
+                             static_cast<std::size_t>(o) * per_out_in +
+                             static_cast<std::size_t>(cin) * 9;
+    for (int oh = 0; oh < h; ++oh) {
+      for (int ow = 0; ow < h; ++ow) {
+        std::int64_t sum = 0;
+        for (int k = 0; k < 9; ++k) {
+          const int ih = oh - 1 + k / 3, iw = ow - 1 + k % 3;
+          if (ih >= 0 && ih < h && iw >= 0 && iw < h) sum += tw[k];
+        }
+        time_tap_sum_.push_back(sum);
       }
     }
   }
@@ -57,7 +80,7 @@ std::uint64_t ConvEngine::cycles_per_run() const {
 
 fixed::FixedTensor ConvEngine::run(const fixed::FixedTensor& input, float t,
                                    std::uint64_t* cycles) const {
-  ODENET_CHECK(!weights_.empty(), "conv engine: weights not loaded");
+  ODENET_CHECK(!packed_.empty(), "conv engine: weights not loaded");
   // Accept [C,H,W] or [1,C,H,W].
   std::vector<int> shape = input.shape;
   if (shape.size() == 4) {
@@ -68,14 +91,31 @@ fixed::FixedTensor ConvEngine::run(const fixed::FixedTensor& input, float t,
                    shape[1] == cfg_.extent && shape[2] == cfg_.extent,
                "conv engine input shape mismatch");
 
+  constexpr int kTileOut = core::kConvTileOut;
+  constexpr int kTilePos = core::kConvTilePos;
   const int h = cfg_.extent, w = cfg_.extent;
   const int ci = cfg_.in_channels, co = cfg_.out_channels;
   const std::size_t plane = static_cast<std::size_t>(h) * w;
 
-  // Fold the constant time plane into a per-output-channel bias plane:
-  // a constant input contributes t * (sum of the time-kernel taps whose
-  // input position is in bounds). Computed once per run; edge positions
-  // see fewer taps because padding is zero, not t.
+  // Zero-padded plane stack: one border row/column of zeros around each
+  // plane, rows wide enough for whole 8-position tiles, and tail room
+  // for the kernel's over-read.
+  const int row_tiles = (w + kTilePos - 1) / kTilePos;
+  const std::size_t row_stride =
+      static_cast<std::size_t>(row_tiles) * kTilePos + 2;
+  const std::size_t plane_stride =
+      (static_cast<std::size_t>(h) + 2) * row_stride;
+  std::vector<std::int32_t> padded(ci * plane_stride + kTilePos, 0);
+  for (int c = 0; c < ci; ++c) {
+    for (int ih = 0; ih < h; ++ih) {
+      const std::int32_t* src = input.raw.data() + c * plane +
+                                static_cast<std::size_t>(ih) * w;
+      std::copy_n(src, w,
+                  padded.data() + c * plane_stride + (ih + 1) * row_stride + 1);
+    }
+  }
+
+  // The time fold wraps like the MAC sums: t_raw * tap_sum mod 2^64.
   const std::int64_t t_raw =
       static_cast<std::int64_t>(static_cast<double>(t) *
                                     static_cast<double>(std::int64_t{1}
@@ -85,47 +125,34 @@ fixed::FixedTensor ConvEngine::run(const fixed::FixedTensor& input, float t,
   fixed::FixedTensor out;
   out.shape = {co, h, w};
   out.frac_bits = cfg_.frac_bits;
-  out.raw.assign(static_cast<std::size_t>(co) * plane, 0);
+  out.raw.resize(static_cast<std::size_t>(co) * plane);
 
-  for (int o = 0; o < co; ++o) {
-    const std::int32_t* wbase =
-        weights_.data() + static_cast<std::size_t>(o) * ci * 9;
-    const std::int32_t* tw =
-        has_time_weights_ ? time_weights_.data() + static_cast<std::size_t>(o) * 9
-                          : nullptr;
+  const core::Conv3x3TileI32Fn tile = core::active_gemm_kernels().conv3x3_i32;
+  std::int64_t acc[kTileOut * kTilePos];
+  for (int o0 = 0; o0 < co; o0 += kTileOut) {
+    const std::int32_t* wpanel =
+        packed_.data() + static_cast<std::size_t>(o0) * ci * 9;
+    const int rows = std::min(kTileOut, co - o0);
     for (int oh = 0; oh < h; ++oh) {
-      for (int ow = 0; ow < w; ++ow) {
-        std::int64_t acc = 0;
-        for (int c = 0; c < ci; ++c) {
-          const std::int32_t* wk = wbase + static_cast<std::size_t>(c) * 9;
-          const std::int32_t* in_plane =
-              input.raw.data() + static_cast<std::size_t>(c) * plane;
-          for (int kh = 0; kh < 3; ++kh) {
-            const int ih = oh - 1 + kh;
-            if (ih < 0 || ih >= h) continue;
-            for (int kw = 0; kw < 3; ++kw) {
-              const int iw = ow - 1 + kw;
-              if (iw < 0 || iw >= w) continue;
-              acc = MacArray::mac(acc, in_plane[static_cast<std::size_t>(ih) * w + iw],
-                                  wk[kh * 3 + kw]);
+      for (int ow0 = 0; ow0 < w; ow0 += kTilePos) {
+        tile(wpanel, padded.data() + oh * row_stride + ow0, ci, plane_stride,
+             row_stride, acc);
+        const int cols = std::min(kTilePos, w - ow0);
+        for (int i = 0; i < rows; ++i) {
+          const std::size_t base = (o0 + i) * plane +
+                                   static_cast<std::size_t>(oh) * w + ow0;
+          const std::int64_t* tsum =
+              has_time_weights_ ? time_tap_sum_.data() + base : nullptr;
+          for (int j = 0; j < cols; ++j) {
+            auto sum = static_cast<std::uint64_t>(acc[i * kTilePos + j]);
+            if (tsum != nullptr) {
+              sum += static_cast<std::uint64_t>(t_raw) *
+                     static_cast<std::uint64_t>(tsum[j]);
             }
+            out.raw[base + j] = MacArray::writeback(
+                static_cast<std::int64_t>(sum), cfg_.frac_bits);
           }
         }
-        if (tw != nullptr) {
-          // Time plane: constant value t at every in-bounds position.
-          for (int kh = 0; kh < 3; ++kh) {
-            const int ih = oh - 1 + kh;
-            if (ih < 0 || ih >= h) continue;
-            for (int kw = 0; kw < 3; ++kw) {
-              const int iw = ow - 1 + kw;
-              if (iw < 0 || iw >= w) continue;
-              acc += t_raw * static_cast<std::int64_t>(tw[kh * 3 + kw]);
-            }
-          }
-        }
-        out.raw[static_cast<std::size_t>(o) * plane +
-                static_cast<std::size_t>(oh) * w + ow] =
-            MacArray::writeback(acc, cfg_.frac_bits);
       }
     }
   }

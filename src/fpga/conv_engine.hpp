@@ -3,17 +3,24 @@
 //
 // Functional semantics match core::Conv2d bit-for-bit at the Q-format
 // resolution: activations and weights are Q(frac_bits) raws, products
-// accumulate in a wide (DSP48-cascade-like) accumulator, and a single
-// rounding happens at writeback.
+// are exact int64 and accumulate in a wide (DSP48-cascade-like)
+// accumulator that wraps around mod 2^64, and a single rounding happens
+// at writeback. Wraparound keeps every input defined and makes the sum
+// order-free, so the host kernel may tile and vectorize at will.
 //
 // The constant time plane of ODE-capable blocks is folded into a
 // precomputed per-position bias (a constant input plane contributes an
 // affine term); this costs no MAC beats, which is required to reproduce
 // the published cycle counts (DESIGN.md §3.2).
+//
+// Host cost: run() pads the input into a zero-bordered plane stack and
+// drives the dispatched core::GemmKernels::conv3x3_i32 tile (4 output
+// channels x 8 positions) over weights packed once at load_weights();
+// the cycle model is independent of how the host computes.
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <vector>
 
 #include "fixed/fixed_tensor.hpp"
 #include "fpga/mac_array.hpp"
@@ -34,7 +41,7 @@ class ConvEngine {
 
   /// Loads quantized weights. Accepts [Cout, Cin, 3, 3] (no time channel)
   /// or [Cout, Cin+1, 3, 3] (last input plane = time weights, folded into
-  /// the bias).
+  /// the bias). Packs them into the kernel's output-channel panels.
   void load_weights(const fixed::FixedTensor& weights);
 
   /// Whether loaded weights carry a time plane.
@@ -59,8 +66,11 @@ class ConvEngine {
  private:
   ConvEngineConfig cfg_;
   MacArray macs_;
-  std::vector<std::int32_t> weights_;       // [Cout, Cin, 3, 3] raw
-  std::vector<std::int32_t> time_weights_;  // [Cout, 3, 3] raw (optional)
+  // [ceil(Cout/4)][9][Cin][4] raw; output channels past Cout are zero.
+  std::vector<std::int32_t> packed_;
+  // [Cout, H, W]: sum of the time taps whose input is in bounds (empty
+  // without a time plane); the per-run bias is t_raw times this.
+  std::vector<std::int64_t> time_tap_sum_;
   bool has_time_weights_ = false;
 };
 

@@ -1,7 +1,5 @@
 #include "fpga/mac_array.hpp"
 
-#include <limits>
-
 namespace odenet::fpga {
 
 int dsp_for_parallelism(int parallelism) {
@@ -20,19 +18,6 @@ std::uint64_t MacArray::cycles(std::uint64_t beats_per_channel,
   const std::uint64_t groups =
       (static_cast<std::uint64_t>(channels) + units_ - 1) / units_;
   return groups * beats_per_channel * kCyclesPerMacBeat;
-}
-
-std::int32_t MacArray::writeback(std::int64_t acc, int frac_bits) {
-  const std::int64_t half = std::int64_t{1} << (frac_bits - 1);
-  const std::int64_t rounded = acc >= 0 ? (acc + half) >> frac_bits
-                                        : -((-acc + half) >> frac_bits);
-  if (rounded > std::numeric_limits<std::int32_t>::max()) {
-    return std::numeric_limits<std::int32_t>::max();
-  }
-  if (rounded < std::numeric_limits<std::int32_t>::min()) {
-    return std::numeric_limits<std::int32_t>::min();
-  }
-  return static_cast<std::int32_t>(rounded);
 }
 
 }  // namespace odenet::fpga

@@ -7,12 +7,15 @@
 // layer3_2 series 23.78/6.07/3.12/1.64/0.90 Mcycles for n=1/4/8/16/32
 // falls out of exactly this model plus the BN fixed part.
 //
-// Functionally a MAC unit multiplies two Q-format raws into a 48-bit-style
-// wide accumulator (modeled as int64) — precision loss only happens at the
-// final writeback rounding, like a DSP48 cascade.
+// Functionally a MAC unit multiplies two Q-format raws into an exact int64
+// product and adds it to a 48-bit-style wide accumulator that wraps around
+// mod 2^64 (defined for every input, and exact whenever the true sum fits
+// int64) — precision loss only happens at the final writeback rounding,
+// like a DSP48 cascade.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 #include "util/check.hpp"
 
@@ -36,15 +39,26 @@ class MacArray {
   /// lockstep across units. `beats` counts per-channel MACs.
   std::uint64_t cycles(std::uint64_t beats_per_channel, int channels) const;
 
-  /// Functional beat: acc += a * w (raw Q products; caller holds the wide
-  /// accumulator, as the DSP cascade does).
-  static inline std::int64_t mac(std::int64_t acc, std::int32_t a,
-                                 std::int32_t w) {
-    return acc + static_cast<std::int64_t>(a) * static_cast<std::int64_t>(w);
+  /// Rounding writeback: wide Q(2F) accumulator -> saturated Q(F) raw,
+  /// round half away from zero; defined for every int64.
+  static std::int32_t writeback(std::int64_t acc, int frac_bits) {
+    // (|acc| + half) >> F on the unsigned magnitude: |INT64_MIN| and the
+    // rounding carry near the rails stay defined, and the quotient is
+    // below 2^63 for F >= 1.
+    const bool neg = acc < 0;
+    const std::uint64_t mag = neg ? 0 - static_cast<std::uint64_t>(acc)
+                                  : static_cast<std::uint64_t>(acc);
+    const auto q = static_cast<std::int64_t>(
+        (mag >> frac_bits) + ((mag >> (frac_bits - 1)) & 1u));
+    const std::int64_t rounded = neg ? -q : q;
+    if (rounded > std::numeric_limits<std::int32_t>::max()) {
+      return std::numeric_limits<std::int32_t>::max();
+    }
+    if (rounded < std::numeric_limits<std::int32_t>::min()) {
+      return std::numeric_limits<std::int32_t>::min();
+    }
+    return static_cast<std::int32_t>(rounded);
   }
-
-  /// Rounding writeback: wide Q(2F) accumulator -> saturated Q(F) raw.
-  static std::int32_t writeback(std::int64_t acc, int frac_bits);
 
  private:
   int units_;

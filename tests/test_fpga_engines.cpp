@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
+#include "core/gemm_kernels.hpp"
 #include "core/init.hpp"
 #include "fpga/accelerator.hpp"
 #include "fpga/axi.hpp"
@@ -14,6 +16,7 @@
 #include "fpga/device.hpp"
 #include "fpga/mac_array.hpp"
 #include "models/odeblock.hpp"
+#include "pl_conv_reference.hpp"
 #include "util/rng.hpp"
 
 using namespace odenet::fpga;
@@ -180,6 +183,126 @@ TEST(ConvEngine, TimeChannelFoldMatchesConcatConv) {
   }
 }
 
+// --------------------------------------------------------------------------
+// Differential oracle: ConvEngine against the per-pixel reference loop.
+
+namespace {
+
+constexpr std::int32_t kI32Min = std::numeric_limits<std::int32_t>::min();
+constexpr std::int32_t kI32Max = std::numeric_limits<std::int32_t>::max();
+
+enum class RawFill { kQ20, kUniform, kRail };
+
+/// Raw Q20 words: kQ20 ~ N(0, 1.0) values (every partial sum fits int64),
+/// kUniform over all of int32 and kRail alternating INT32_MIN/INT32_MAX
+/// (`phase` shifts the pattern) both wrap the accumulator.
+ofx::FixedTensor raw_fill(std::vector<int> shape, RawFill fill, ou::Rng& rng,
+                          int phase = 0) {
+  ofx::FixedTensor f;
+  f.shape = std::move(shape);
+  f.frac_bits = 20;
+  std::size_t n = 1;
+  for (int d : f.shape) n *= static_cast<std::size_t>(d);
+  f.raw.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (fill) {
+      case RawFill::kQ20:
+        f.raw[i] = static_cast<std::int32_t>(rng.normal(0.0, 1.0) * (1 << 20));
+        break;
+      case RawFill::kUniform:
+        f.raw[i] = static_cast<std::int32_t>(
+            static_cast<std::uint32_t>(rng.next_u64()));
+        break;
+      case RawFill::kRail:
+        f.raw[i] = (i + phase) % 2 == 0 ? kI32Min : kI32Max;
+        break;
+    }
+  }
+  return f;
+}
+
+/// Runs `engine` under the scalar and the dispatched kernels and checks
+/// both bitwise against the reference loop.
+void expect_conv_matches_reference(const ConvEngine& engine,
+                                   const ofx::FixedTensor& weights,
+                                   const ofx::FixedTensor& x, float t,
+                                   const std::string& where) {
+  const ofx::FixedTensor want =
+      odenet::testing::pl_conv_reference(weights, x, t, 20);
+  for (bool scalar : {true, false}) {
+    odenet::core::gemm_force_scalar(scalar);
+    const ofx::FixedTensor got = engine.run(x, t);
+    odenet::core::gemm_force_scalar(false);
+    ASSERT_EQ(got.shape, want.shape) << where;
+    ASSERT_EQ(got.raw, want.raw)
+        << where << " t=" << t << " isa="
+        << (scalar ? "scalar" : odenet::core::gemm_isa_name());
+  }
+}
+
+}  // namespace
+
+TEST(ConvEngineOracle, BitwiseAcrossGeometriesTimePlanesAndIsas) {
+  ou::Rng rng(11);
+  for (int extent : {1, 2, 3, 5, 8, 16}) {
+    for (int cin : {1, 3, 5, 64}) {
+      for (int cout : {1, 3, 5, 64}) {
+        for (bool time_plane : {false, true}) {
+          for (RawFill fill : {RawFill::kQ20, RawFill::kUniform,
+                               RawFill::kRail}) {
+            ConvEngine engine({.in_channels = cin, .out_channels = cout,
+                               .extent = extent, .parallelism = 16});
+            const ofx::FixedTensor w = raw_fill(
+                {cout, cin + (time_plane ? 1 : 0), 3, 3}, fill, rng, 1);
+            engine.load_weights(w);
+            ASSERT_EQ(engine.has_time_weights(), time_plane);
+            const ofx::FixedTensor x =
+                raw_fill({cin, extent, extent}, fill, rng);
+            const std::string where =
+                "extent=" + std::to_string(extent) + " cin=" +
+                std::to_string(cin) + " cout=" + std::to_string(cout) +
+                " time=" + std::to_string(time_plane) +
+                " fill=" + std::to_string(static_cast<int>(fill));
+            for (float t : {-1.75f, 0.0f, 2.5f}) {
+              expect_conv_matches_reference(engine, w, x, t, where);
+              if (!time_plane) break;  // t only reaches the time plane
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ConvEngineOracle, RailInputsWrapTheAccumulator) {
+  // The layer3_2 geometry on rail inputs: every tap multiplies INT32_MAX
+  // or INT32_MIN by INT32_MAX, so the exact sums leave int64 within a few
+  // channels. The accumulator wraps mod 2^64 — defined behaviour, caught
+  // by the UBSan CI job if it ever regresses to a signed overflow.
+  ConvEngine engine({.in_channels = 64, .out_channels = 64, .extent = 8,
+                     .parallelism = 16});
+  ofx::FixedTensor w;
+  w.shape = {64, 65, 3, 3};
+  w.raw.assign(64 * 65 * 9, kI32Max);
+  engine.load_weights(w);
+  ou::Rng rng(12);
+  const ofx::FixedTensor x = raw_fill({64, 8, 8}, RawFill::kRail, rng);
+  expect_conv_matches_reference(engine, w, x, 23.0f, "rail");
+}
+
+TEST(MacArray, WritebackIsDefinedOnRails) {
+  // Writeback is defined on every int64, rails included, and saturates.
+  EXPECT_EQ(MacArray::writeback(std::numeric_limits<std::int64_t>::max(), 20),
+            kI32Max);
+  EXPECT_EQ(MacArray::writeback(std::numeric_limits<std::int64_t>::min(), 20),
+            kI32Min);
+  EXPECT_EQ(MacArray::writeback(std::numeric_limits<std::int64_t>::min(), 1),
+            kI32Min);
+  // Round half away from zero just below the rail: -(2^31 - 0.5) at Q1.
+  EXPECT_EQ(MacArray::writeback(-(std::int64_t{1} << 32) + 1, 1), kI32Min);
+  EXPECT_EQ(MacArray::writeback((std::int64_t{1} << 32) - 3, 1), kI32Max);
+}
+
 TEST(ConvEngine, RejectsBadShapes) {
   ConvEngine engine({.in_channels = 2, .out_channels = 2, .extent = 4,
                      .parallelism = 1});
@@ -238,6 +361,53 @@ TEST(BnEngine, FusedReluClamps) {
     zeros += (out.data()[i] == 0.0f);
   }
   EXPECT_GT(zeros, 0);
+}
+
+TEST(BnEngine, RailInputsStayDefined) {
+  // One 8x8 plane alternating INT32_MIN/INT32_MAX: the squared deviations
+  // sum to ~2^68, past int64. mean = -1, so d = -(2^31 - 1) or 2^31,
+  // var ~ 2048^2, std_raw = 2^31 - 1, inv_std_raw = 512, and each output
+  // normalizes to exactly -1.0 or +1.0 (gamma 1, beta 0).
+  ou::Rng rng(13);
+  const ofx::FixedTensor x = raw_fill({1, 8, 8}, RawFill::kRail, rng);
+  odenet::core::Tensor gamma({1}), beta({1});
+  gamma.at1(0) = 1.0f;
+  for (bool relu : {false, true}) {
+    BnEngine engine({.channels = 1, .extent = 8, .fused_relu = relu});
+    engine.load_params(ofx::quantize(gamma, 20), ofx::quantize(beta, 20));
+    const ofx::FixedTensor out = engine.run(x);
+    for (std::size_t i = 0; i < out.raw.size(); ++i) {
+      const std::int32_t want =
+          x.raw[i] == kI32Min ? (relu ? 0 : -(1 << 20)) : (1 << 20);
+      EXPECT_EQ(out.raw[i], want) << "relu=" << relu << " at " << i;
+    }
+  }
+}
+
+TEST(BnEngine, OutlierUnderRailGammaSaturates) {
+  // Q30, one INT32_MAX outlier in an 8x8 plane of zeros: the outlier
+  // normalizes to sqrt(63) ~ 7.94, and times a rail gamma (~2.0) its
+  // product (~1.8e19 at Q60) leaves int64. It saturates; the zeros land
+  // at -2/sqrt(63).
+  constexpr int kFb = 30;
+  BnEngine engine({.channels = 1, .extent = 8, .frac_bits = kFb});
+  ofx::FixedTensor g, b, x;
+  g.shape = b.shape = {1};
+  g.raw = {kI32Max};
+  b.raw = {0};
+  engine.load_params(g, b);
+  x.shape = {1, 8, 8};
+  x.frac_bits = kFb;
+  x.raw.assign(64, 0);
+  x.raw[27] = kI32Max;
+  const ofx::FixedTensor out = engine.run(x);
+  EXPECT_EQ(out.raw[27], kI32Max);
+  const double want = -2.0 / std::sqrt(63.0) * static_cast<double>(1 << kFb);
+  for (std::size_t i = 0; i < out.raw.size(); ++i) {
+    if (i == 27) continue;
+    EXPECT_EQ(out.raw[i], out.raw[0]) << "at " << i;
+  }
+  EXPECT_NEAR(static_cast<double>(out.raw[0]), want, 1e-3 * (1 << kFb));
 }
 
 TEST(Bram, AllocationGranularity) {
@@ -338,6 +508,32 @@ TEST(Accelerator, EulerSolveMatchesOdeBlock) {
   }
   EXPECT_EQ(report.executions, 2);
   EXPECT_GT(report.seconds(), 0.0);
+}
+
+TEST(Accelerator, EulerSolveMatchesReferenceBitwise) {
+  // 24 executions (rODENet-3-56's layer3_2) of the whole PL block against
+  // the reference-conv composition, on both kernel ISAs.
+  ou::Rng rng(8);
+  odenet::core::BuildingBlock block({.in_channels = 8, .out_channels = 8,
+                                     .stride = 1, .time_channel = true});
+  odenet::core::init_block(block, rng);
+  OdeBlockAccelerator accel({.channels = 8, .extent = 8, .parallelism = 16});
+  accel.load_weights(block);
+
+  const Tensor z0 = random_tensor({1, 8, 8, 8}, rng);
+  const float h = 1.0f / 24.0f;
+  const Tensor want =
+      odenet::testing::pl_solve_euler_reference(block, z0, 24, h, 20);
+  for (bool scalar : {true, false}) {
+    odenet::core::gemm_force_scalar(scalar);
+    const Tensor got = accel.solve_euler(z0, 24, h);
+    odenet::core::gemm_force_scalar(false);
+    ASSERT_TRUE(got.same_shape(want));
+    for (std::size_t i = 0; i < want.numel(); ++i) {
+      ASSERT_EQ(got.data()[i], want.data()[i])
+          << "scalar=" << scalar << " at " << i;
+    }
+  }
 }
 
 TEST(Accelerator, Layer32CyclesAndTransfersMatchTable5) {

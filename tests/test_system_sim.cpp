@@ -3,6 +3,9 @@
 
 #include <cmath>
 
+#include "core/gemm_kernels.hpp"
+#include "pl_conv_reference.hpp"
+#include "sched/fpga_executor.hpp"
 #include "sched/system_sim.hpp"
 #include "util/rng.hpp"
 
@@ -102,6 +105,44 @@ TEST(SystemSim, PlCyclesMatchStaticModel) {
       batch * spec.executions *
       (per_exec + fpga::roundtrip_cycles(fwords, fwords));
   EXPECT_EQ(report.pl_cycles, expected);
+}
+
+TEST(SystemSim, FpgaExecutorMatchesReferenceBitwise) {
+  // rODENet-3-56's layer3_2 (24 Euler executions) on the PL executor at
+  // batch 3: every image equals the reference-conv composition bitwise,
+  // on both kernel ISAs.
+  util::Rng rng(8);
+  models::Network net(models::make_spec(Arch::kROdeNet3, 56, tiny_width()));
+  net.init(rng);
+  models::Stage& stage = *net.stage(StageId::kLayer3_2);
+  sched::FpgaStageExecutor exec(stage, {.parallelism = 16});
+  const auto& spec = stage.spec();
+  ASSERT_EQ(spec.executions, 24);
+  const int c = spec.out_channels, s = spec.in_size;
+  core::Tensor x({3, c, s, s});
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    x.data()[i] = static_cast<float>(rng.normal(0.0, 0.5));
+  }
+  const float h = (stage.ode()->t1() - stage.ode()->t0()) /
+                  static_cast<float>(spec.executions);
+  const std::size_t per_image = static_cast<std::size_t>(c) * s * s;
+  for (bool scalar : {true, false}) {
+    core::gemm_force_scalar(scalar);
+    core::StageRunStats stats;
+    const core::Tensor got = exec.run(stage, x, &stats);
+    core::gemm_force_scalar(false);
+    EXPECT_GT(stats.pl_cycles, 0u);
+    for (int b = 0; b < 3; ++b) {
+      core::Tensor zi({1, c, s, s});
+      std::copy_n(x.data() + b * per_image, per_image, zi.data());
+      const core::Tensor want = odenet::testing::pl_solve_euler_reference(
+          stage.ode()->block(), zi, spec.executions, h, 20);
+      for (std::size_t i = 0; i < per_image; ++i) {
+        ASSERT_EQ(got.data()[b * per_image + i], want.data()[i])
+            << "scalar=" << scalar << " image " << b << " at " << i;
+      }
+    }
+  }
 }
 
 TEST(SystemSim, NoOffloadRunsPureSoftware) {
