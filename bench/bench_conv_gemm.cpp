@@ -13,10 +13,12 @@
 //     (ConvAlgo::kIm2col, the default).
 // Forward is timed in eval mode, forward+backward in training mode.
 //
-// Three A/B sections follow the algorithm grid, all on the batch-16
-// batched path:
+// Four A/B sections follow the algorithm grid, all at batch 16:
+//   * bwd     — batched vs direct forward+backward in training mode: the
+//     median of nine interleaved pairs of >= 20 ms trials (gated in the
+//     summary row as batched_bwd_speedup_b16);
 //   * simd    — the active micro-kernel ISA vs the scalar fallback
-//     (gemm_force_scalar), isolating the AVX2/FMA win;
+//     (gemm_cap_isa(GemmIsa::kScalar)), isolating the SIMD win;
 //   * fused   — conv+BN+ReLU as one GEMM with the epilogue in the output
 //     tile vs the three-layer chain: the median of nine interleaved pairs
 //     of >= 20 ms trials (gated in the summary row);
@@ -30,6 +32,7 @@
 // gated: the scalar denominator is not present on every runner class).
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -77,21 +80,29 @@ struct Row {
   std::uint64_t scratch_floats = 0;
 };
 
+/// The ODEBlock conv under test with `weights`, on `algo`. Versioned
+/// weights give the serving steady state: the packed-weight cache hits
+/// after the warm-up call (training mode never reads it).
+std::unique_ptr<Conv2d> make_conv(ConvAlgo algo, const Tensor& weights) {
+  const int channels = weights.dim(0);
+  auto conv = std::make_unique<Conv2d>(core::Conv2dConfig{
+      .in_channels = channels,
+      .out_channels = channels,
+      .kernel = 3,
+      .stride = 1,
+      .pad = 1,
+      .time_channel = true,
+      .algo = algo});
+  conv->weight().value = weights;
+  conv->set_time(0.5f);
+  conv->set_weight_version(1);
+  return conv;
+}
+
 Row run_algo(ConvAlgo algo, const Tensor& weights, const Tensor& x,
              const Tensor& gout, int reps) {
-  const int channels = weights.dim(0);
-  Conv2d conv({.in_channels = channels,
-               .out_channels = channels,
-               .kernel = 3,
-               .stride = 1,
-               .pad = 1,
-               .time_channel = true,
-               .algo = algo});
-  conv.weight().value = weights;
-  conv.set_time(0.5f);
-  // Serving steady state: versioned weights so the packed-weight cache
-  // hits after the warm-up call (training mode below never reads it).
-  conv.set_weight_version(1);
+  const std::unique_ptr<Conv2d> owned = make_conv(algo, weights);
+  Conv2d& conv = *owned;
 
   Row row;
   row.algo = algo_name(algo);
@@ -137,17 +148,8 @@ void print_row(const Row& r) {
 /// Mean seconds per batched eval-mode forward under the CURRENT kernel
 /// settings (ISA override / kernel pool installed by the caller).
 double time_batched_fwd(const Tensor& weights, const Tensor& x, int reps) {
-  const int channels = weights.dim(0);
-  Conv2d conv({.in_channels = channels,
-               .out_channels = channels,
-               .kernel = 3,
-               .stride = 1,
-               .pad = 1,
-               .time_channel = true,
-               .algo = ConvAlgo::kIm2col});
-  conv.weight().value = weights;
-  conv.set_time(0.5f);
-  conv.set_weight_version(1);
+  const std::unique_ptr<Conv2d> owned = make_conv(ConvAlgo::kIm2col, weights);
+  Conv2d& conv = *owned;
   conv.set_training(false);
   (void)conv.forward(x);  // warm-up: pages, arena, packed weights
   util::Stopwatch watch;
@@ -233,35 +235,97 @@ int main(int argc, char** argv) {
               "scratch_floats");
 
   double speedup_b16 = 0.0;
-  double bwd_speedup_b16 = 0.0;
   for (int batch : {1, 4, 16, 64}) {
     const int reps = reps_opt > 0 ? reps_opt : std::max(4, 96 / batch);
     Tensor x = random_tensor({batch, channels, size, size}, rng);
     Tensor gout = random_tensor({batch, channels, size, size}, rng);
-    double direct_fwd = 0.0, direct_bwd = 0.0;
+    double direct_fwd = 0.0;
     for (ConvAlgo algo : {ConvAlgo::kDirect, ConvAlgo::kIm2col}) {
       Row row = run_algo(algo, weights, x, gout, reps);
-      if (algo == ConvAlgo::kDirect) {
-        direct_fwd = row.fwd_seconds;
-        direct_bwd = row.bwd_seconds;
-      }
+      if (algo == ConvAlgo::kDirect) direct_fwd = row.fwd_seconds;
       row.fwd_speedup = direct_fwd / row.fwd_seconds;
       if (algo == ConvAlgo::kIm2col && batch == 16) {
         speedup_b16 = row.fwd_speedup;
-        bwd_speedup_b16 = direct_bwd / row.bwd_seconds;
       }
       print_row(row);
     }
   }
 
-  // --- SIMD A/B: active ISA vs forced-scalar kernels, batch 16 ----------
+  // Nine interleaved trials of >= 20 ms of calls per arm (the arm that
+  // goes first alternates), so host drift hits both arms alike; each
+  // gated speedup is the median of the nine per-pair ratios, with their
+  // quartiles as its spread.
+  constexpr int kPairTrials = 9;
+  constexpr double kTrialSeconds = 0.02;
+  struct PairAb {
+    std::vector<double> a_trials, b_trials, ratios;  // ratio = b / a
+  };
+  auto median = [](const std::vector<double>& v) {
+    return util::quantile(v, 0.5);
+  };
+  auto interleave = [&](auto&& a_call, auto&& b_call) {
+    PairAb ab;
+    for (int t = 0; t < kPairTrials; ++t) {
+      double a = 0.0, b = 0.0;
+      if (t % 2 == 0) {
+        a = util::seconds_per_call(a_call, kTrialSeconds);
+        b = util::seconds_per_call(b_call, kTrialSeconds);
+      } else {
+        b = util::seconds_per_call(b_call, kTrialSeconds);
+        a = util::seconds_per_call(a_call, kTrialSeconds);
+      }
+      ab.a_trials.push_back(a);
+      ab.b_trials.push_back(b);
+      ab.ratios.push_back(b / a);
+    }
+    return ab;
+  };
+
   const int ab_batch = 16;
   const int ab_reps = reps_opt > 0 ? reps_opt : 12;
   Tensor x16 = random_tensor({ab_batch, channels, size, size}, rng);
+
+  // --- backward A/B: batched vs direct forward+backward, batch 16 -------
+  const Tensor gout16 = random_tensor({ab_batch, channels, size, size}, rng);
+  const std::unique_ptr<Conv2d> batched_conv =
+      make_conv(ConvAlgo::kIm2col, weights);
+  const std::unique_ptr<Conv2d> direct_conv =
+      make_conv(ConvAlgo::kDirect, weights);
+  auto train_step = [&](Conv2d& conv) {
+    (void)conv.forward(x16);
+    (void)conv.backward(gout16);
+  };
+  for (Conv2d* conv : {batched_conv.get(), direct_conv.get()}) {
+    conv->set_training(true);
+    train_step(*conv);  // warm-up: arena sizing, first-touch pages
+  }
+  const PairAb bwd = interleave([&] { train_step(*batched_conv); },
+                                [&] { train_step(*direct_conv); });
+  const double bwd_speedup_b16 = median(bwd.ratios);
+  std::printf("\n--- batched vs direct fwd+bwd A/B (training, batch %d, "
+              "median of %d pairs) ---\n",
+              ab_batch, kPairTrials);
+  std::printf("%-11s %12.6f s\n%-11s %12.6f s  (%.2fx batched, IQR "
+              "%.2f-%.2f)\n",
+              "batched", median(bwd.a_trials), "direct",
+              median(bwd.b_trials), bwd_speedup_b16,
+              util::quantile(bwd.ratios, 0.25),
+              util::quantile(bwd.ratios, 0.75));
+  std::printf("JSON {\"bench\":\"conv_gemm\",\"bwd_ab\":true,\"batch\":%d,"
+              "\"trials\":%d,\"trial_seconds\":%.3f,"
+              "\"batched_bwd_seconds\":%.6f,\"direct_bwd_seconds\":%.6f,"
+              "\"batched_bwd_speedup\":%.4f,"
+              "\"speedup_q1\":%.4f,\"speedup_q3\":%.4f}\n",
+              ab_batch, kPairTrials, kTrialSeconds, median(bwd.a_trials),
+              median(bwd.b_trials), bwd_speedup_b16,
+              util::quantile(bwd.ratios, 0.25),
+              util::quantile(bwd.ratios, 0.75));
+
+  // --- SIMD A/B: active ISA vs forced-scalar kernels, batch 16 ----------
   const double simd_sec = time_batched_fwd(weights, x16, ab_reps);
-  core::gemm_force_scalar(true);
+  core::gemm_cap_isa(core::GemmIsa::kScalar);
   const double scalar_sec = time_batched_fwd(weights, x16, ab_reps);
-  core::gemm_force_scalar(false);
+  core::gemm_cap_isa(core::GemmIsa::kAvx512);
   const double simd_speedup = scalar_sec / simd_sec;
   std::printf("\n--- SIMD A/B (batched fwd, batch %d) ---\n", ab_batch);
   std::printf("%-11s %12.6f s  %12.1f img/s\n", core::gemm_isa_name(),
@@ -275,37 +339,18 @@ int main(int argc, char** argv) {
               simd_speedup);
 
   // --- fused epilogue A/B: conv+BN+ReLU as one GEMM vs the layer chain --
-  // Nine interleaved fused/unfused trials of >= 20 ms of calls each (the
-  // arm that goes first alternates), so host drift hits both arms alike;
-  // the gated speedup is the median of the nine per-pair ratios, with
-  // their quartiles as its spread.
-  constexpr int kFusedTrials = 9;
-  constexpr double kTrialSeconds = 0.02;
   ConvBnReluStep step(weights, rng);
   step.run(x16, true);  // warm-up: packed weights, arena, output buffers
   step.run(x16, false);
-  auto fused_call = [&] { step.run(x16, true); };
-  auto unfused_call = [&] { step.run(x16, false); };
-  std::vector<double> fused_trials, unfused_trials, pair_speedups;
-  for (int t = 0; t < kFusedTrials; ++t) {
-    double f = 0.0, u = 0.0;
-    if (t % 2 == 0) {
-      f = util::seconds_per_call(fused_call, kTrialSeconds);
-      u = util::seconds_per_call(unfused_call, kTrialSeconds);
-    } else {
-      u = util::seconds_per_call(unfused_call, kTrialSeconds);
-      f = util::seconds_per_call(fused_call, kTrialSeconds);
-    }
-    fused_trials.push_back(f);
-    unfused_trials.push_back(u);
-    pair_speedups.push_back(u / f);
-  }
-  const double fused_sec = util::quantile(fused_trials, 0.5);
-  const double unfused_sec = util::quantile(unfused_trials, 0.5);
-  const double fused_speedup = util::quantile(pair_speedups, 0.5);
+  const PairAb fused = interleave([&] { step.run(x16, true); },
+                                  [&] { step.run(x16, false); });
+  const std::vector<double>& pair_speedups = fused.ratios;
+  const double fused_sec = median(fused.a_trials);
+  const double unfused_sec = median(fused.b_trials);
+  const double fused_speedup = median(pair_speedups);
   std::printf("\n--- fused conv+BN+ReLU A/B (eval fwd, batch %d, median of "
               "%d pairs) ---\n",
-              ab_batch, kFusedTrials);
+              ab_batch, kPairTrials);
   std::printf("%-11s %12.6f s  %12.1f img/s\n", "fused", fused_sec,
               ab_batch / fused_sec);
   std::printf("%-11s %12.6f s  %12.1f img/s  (%.2fx from fusion, IQR "
@@ -318,7 +363,7 @@ int main(int argc, char** argv) {
               "\"fused_fwd_seconds\":%.6f,\"unfused_fwd_seconds\":%.6f,"
               "\"fused_conv_bn_relu_speedup\":%.4f,"
               "\"speedup_q1\":%.4f,\"speedup_q3\":%.4f}\n",
-              ab_batch, kFusedTrials, kTrialSeconds, fused_sec, unfused_sec,
+              ab_batch, kPairTrials, kTrialSeconds, fused_sec, unfused_sec,
               fused_speedup, util::quantile(pair_speedups, 0.25),
               util::quantile(pair_speedups, 0.75));
 

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "core/gemm_tile_stack.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
 
@@ -15,6 +16,11 @@ namespace odenet::core {
 // with -mavx2 -mfma. Returns nullptr when that TU was built without AVX2
 // codegen (non-x86, -mno-avx2, or -DODENET_DISABLE_AVX2=ON).
 const GemmKernels* gemm_avx2_kernels_impl();
+// Defined in gemm_kernels_avx512.cpp: a table holding only the four
+// 16-row AVX-512 tiles (and the isa name), or nullptr when that TU was
+// built without AVX-512 codegen. Returning a constant table runs no
+// AVX-512 instruction, so this is safe to call on any host.
+const GemmKernels* gemm_avx512_tiles_impl();
 
 namespace {
 
@@ -332,6 +338,12 @@ void tile4x16_i16_ep_scalar(const std::int16_t* apanel,
 constexpr GemmKernels kScalarKernels{tile4x16_scalar,  dot_scalar,
                                      tile4x16_i16_scalar,
                                      tile4x16_i16_ep_scalar,
+                                     detail::stack_tile<tile4x16_scalar>,
+                                     detail::stack_tile_ep<tile4x16_ep_scalar>,
+                                     detail::stack_tile_i16<
+                                         tile4x16_i16_scalar>,
+                                     detail::stack_tile_i16_ep<
+                                         tile4x16_i16_ep_scalar>,
                                      conv3x3_i32_scalar, qdq_f32_scalar,
                                      quant_f32_i16_scalar, requant_i32_scalar,
                                      max_abs_f32_scalar, tile4x16_ep_scalar,
@@ -347,11 +359,65 @@ bool cpu_supports_avx2_fma() {
 #endif
 }
 
-bool env_disables_simd() {
+bool cpu_supports_avx512() {
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+  return __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512bw") &&
+         __builtin_cpu_supports("avx512vl") &&
+         __builtin_cpu_supports("avx512vnni");
+#else
+  return false;
+#endif
+}
+
+/// The highest tier env ODENET_SIMD permits: 0|off|OFF|scalar -> scalar,
+/// avx2|AVX2 -> AVX2, unset or anything else -> no cap.
+GemmIsa env_isa_cap() {
   const char* e = std::getenv("ODENET_SIMD");
-  if (e == nullptr) return false;
-  return std::strcmp(e, "0") == 0 || std::strcmp(e, "off") == 0 ||
-         std::strcmp(e, "OFF") == 0 || std::strcmp(e, "scalar") == 0;
+  if (e == nullptr) return GemmIsa::kAvx512;
+  if (std::strcmp(e, "0") == 0 || std::strcmp(e, "off") == 0 ||
+      std::strcmp(e, "OFF") == 0 || std::strcmp(e, "scalar") == 0) {
+    return GemmIsa::kScalar;
+  }
+  if (std::strcmp(e, "avx2") == 0 || std::strcmp(e, "AVX2") == 0) {
+    return GemmIsa::kAvx2;
+  }
+  return GemmIsa::kAvx512;
+}
+
+/// The highest usable tier, decided once: compiled in, supported by the
+/// CPU (AVX-512 builds on the AVX2 table, so it needs both), and within
+/// the env cap.
+GemmIsa best_usable_isa() {
+  static const GemmIsa best = [] {
+    const GemmIsa cap = env_isa_cap();
+    if (gemm_avx2_kernels_impl() == nullptr || !cpu_supports_avx2_fma() ||
+        cap == GemmIsa::kScalar) {
+      return GemmIsa::kScalar;
+    }
+    if (gemm_avx512_tiles_impl() == nullptr || !cpu_supports_avx512() ||
+        cap == GemmIsa::kAvx2) {
+      return GemmIsa::kAvx2;
+    }
+    return GemmIsa::kAvx512;
+  }();
+  return best;
+}
+
+/// The AVX2 table with the AVX-512 16-row tiles swapped in. Built on
+/// first use, which best_usable_isa() gates on CPU support.
+const GemmKernels& avx512_kernels() {
+  static const GemmKernels table = [] {
+    GemmKernels k = *gemm_avx2_kernels_impl();
+    const GemmKernels& wide = *gemm_avx512_tiles_impl();
+    k.tile16x16 = wide.tile16x16;
+    k.tile16x16_ep = wide.tile16x16_ep;
+    k.tile16x16_i16 = wide.tile16x16_i16;
+    k.tile16x16_i16_ep = wide.tile16x16_i16_ep;
+    k.isa = wide.isa;
+    return k;
+  }();
+  return table;
 }
 
 bool env_disables_fused_epilogues() {
@@ -361,7 +427,7 @@ bool env_disables_fused_epilogues() {
          std::strcmp(e, "OFF") == 0;
 }
 
-std::atomic<bool> g_force_scalar{false};
+std::atomic<GemmIsa> g_isa_cap{GemmIsa::kAvx512};
 // -1 = unset (follow the env default), 0 = off, 1 = on.
 std::atomic<int> g_fused_epilogues{-1};
 std::atomic<std::size_t> g_min_flops_override{0};
@@ -380,20 +446,10 @@ std::size_t default_min_flops() {
 
 }  // namespace
 
-bool gemm_avx2_compiled() { return gemm_avx2_kernels_impl() != nullptr; }
+bool gemm_isa_usable(GemmIsa isa) { return isa <= best_usable_isa(); }
 
-bool gemm_avx2_usable() {
-  static const bool usable =
-      gemm_avx2_compiled() && cpu_supports_avx2_fma() && !env_disables_simd();
-  return usable;
-}
-
-void gemm_force_scalar(bool force) {
-  g_force_scalar.store(force, std::memory_order_relaxed);
-}
-
-bool gemm_forced_scalar() {
-  return g_force_scalar.load(std::memory_order_relaxed);
+GemmIsa gemm_cap_isa(GemmIsa cap) {
+  return g_isa_cap.exchange(cap, std::memory_order_relaxed);
 }
 
 void set_fused_epilogues(bool enabled) {
@@ -408,8 +464,14 @@ bool fused_epilogues_enabled() {
 }
 
 const GemmKernels& active_gemm_kernels() {
-  if (!gemm_forced_scalar() && gemm_avx2_usable()) {
-    return *gemm_avx2_kernels_impl();
+  switch (std::min(best_usable_isa(),
+                   g_isa_cap.load(std::memory_order_relaxed))) {
+    case GemmIsa::kAvx512:
+      return avx512_kernels();
+    case GemmIsa::kAvx2:
+      return *gemm_avx2_kernels_impl();
+    case GemmIsa::kScalar:
+      break;
   }
   return kScalarKernels;
 }
@@ -511,12 +573,11 @@ void gemm_i16_tiled_pa(const PackedGemmA16& a, const std::int16_t* b,
     const int pn = std::min(kPanelCols, n - p0);
     const int full_tiles = pn / kGemmTileCols;
     // Pair-interleaved packing of the panel's full-width column tiles
-    // (thread-local, recycled): one sequential pass over B, padded odd-k
-    // tap zeroed.
-    static thread_local std::vector<std::int16_t> packed;
-    packed.resize(static_cast<std::size_t>(std::max(full_tiles, 1)) *
-                  static_cast<std::size_t>(std::max(kp, 1)) * kGemmTileCols *
-                  2);
+    // into storage this task owns (zero-filled, which pads the phantom
+    // odd-k tap): one sequential pass over B.
+    std::vector<std::int16_t> packed(
+        static_cast<std::size_t>(std::max(full_tiles, 1)) *
+        static_cast<std::size_t>(std::max(kp, 1)) * kGemmTileCols * 2);
     for (int p = 0; p < kp; ++p) {
       const std::int16_t* brow0 =
           b + static_cast<std::size_t>(2 * p) * n + p0;
@@ -527,19 +588,11 @@ void gemm_i16_tiled_pa(const PackedGemmA16& a, const std::int16_t* b,
                              static_cast<std::size_t>(p)) *
                                 kGemmTileCols * 2;
         const std::int16_t* s0 = brow0 + jt * kGemmTileCols;
-        if (brow1 != nullptr) {
-          const std::int16_t* s1 = brow1 + jt * kGemmTileCols;
-          for (int j = 0; j < kGemmTileCols; ++j) {
-            dst[j * 2 + 0] = s0[j];
-            dst[j * 2 + 1] = s1[j];
-          }
-        } else {
-          // Phantom odd-k tap: zero the pad explicitly (storage is
-          // recycled, not zero-initialized).
-          for (int j = 0; j < kGemmTileCols; ++j) {
-            dst[j * 2 + 0] = s0[j];
-            dst[j * 2 + 1] = 0;
-          }
+        const std::int16_t* s1 =
+            brow1 != nullptr ? brow1 + jt * kGemmTileCols : nullptr;
+        for (int j = 0; j < kGemmTileCols; ++j) {
+          dst[j * 2 + 0] = s0[j];
+          if (s1 != nullptr) dst[j * 2 + 1] = s1[j];
         }
       }
     }

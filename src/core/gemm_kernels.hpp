@@ -1,19 +1,24 @@
-// GEMM micro-kernel dispatch: one scalar and (on x86 hosts that have them)
-// one AVX2/FMA implementation of the two inner kernels every tiled GEMM in
-// im2col.cpp is built from, selected once at runtime.
+// GEMM micro-kernel dispatch: one kernel table per instruction-set tier —
+// scalar, AVX2/FMA and (on x86 hosts that have them) AVX-512 with VNNI —
+// holding the inner kernels every tiled GEMM in im2col.cpp is built from,
+// selected at runtime.
 //
-// Both kernels operate on PACKED panels (see PackedGemmA/PackedGemmB in
-// im2col.hpp) so the scalar and vector variants share one data layout and
-// one outer loop nest; only the innermost arithmetic differs. The scalar
-// kernels are the portable fallback — non-x86 targets, -mno-avx2 builds
-// (cmake -DODENET_DISABLE_AVX2=ON skips the AVX2 translation unit
-// entirely) and hosts without AVX2/FMA all run them, producing the same
-// ascending-k summation order as the pre-SIMD code.
+// Every kernel operates on PACKED panels (see PackedGemmA/PackedGemmB in
+// im2col.hpp) so all tiers share one data layout and one outer loop nest;
+// only the innermost arithmetic differs. The scalar kernels are the
+// portable fallback — non-x86 targets, -mno-avx2 builds (cmake
+// -DODENET_DISABLE_AVX2=ON skips the SIMD translation units entirely) and
+// hosts without AVX2/FMA all run them, producing the same ascending-k
+// summation order as the pre-SIMD code. The AVX-512 tier is the AVX2
+// table with its four 16-row register tiles swapped in; every output
+// element keeps the AVX2 tile's FMA chain (or int32 wraparound sum) and
+// epilogue op sequence, so the two tiers are bitwise equal.
 //
 // Knobs:
 //  * env ODENET_SIMD=0|off|scalar — disable the vector kernels at startup;
-//  * gemm_force_scalar(true) — per-process override for benches/tests
-//    (A/B rows, ISA-parity suites);
+//    ODENET_SIMD=avx2 — cap dispatch at the AVX2 tier;
+//  * gemm_cap_isa(GemmIsa) — per-process cap for benches/tests (A/B rows,
+//    ISA-parity suites);
 //  * env ODENET_GEMM_PAR_FLOPS / gemm_set_parallel_min_flops() — the flop
 //    count below which a GEMM runs sequentially instead of fanning out on
 //    the thread pool (small batches stay on the calling thread);
@@ -39,6 +44,14 @@ namespace odenet::core {
 /// B row is reused MR times.
 inline constexpr int kGemmTileRows = 4;
 inline constexpr int kGemmTileCols = 16;
+/// The 16-row register tiles (the tile16x16* table entries) cover four
+/// consecutive packed 4-row A panels — the conv_x16 engine's 16 output
+/// channels in lockstep. The panels sit a fixed k*4 floats (kpairs*8
+/// int16) apart, so a 16-row entry takes the first panel's pointer and the
+/// GemmTile* signature of its 4-row twin; per-row coefficients and the
+/// residual / C windows then span 16 rows.
+inline constexpr int kGemmGroupTiles = 4;
+inline constexpr int kGemmGroupRows = kGemmTileRows * kGemmGroupTiles;
 
 /// Full-tile micro-kernel: C[4][16] (+)= sum_p Apanel[p][4] * Bpanel[p][16].
 /// `apanel` is a packed [k][4] row panel, `bpanel` a packed [k][16] column
@@ -181,6 +194,13 @@ struct GemmKernels {
   GemmDotFn dot;
   GemmTileI16Fn tile4x16_i16;
   GemmTileI16Ep4x16Fn tile4x16_i16_ep;
+  // The 16-row twins of tile4x16 / tile4x16_ep / tile4x16_i16 /
+  // tile4x16_i16_ep (see kGemmGroupRows). The scalar and AVX2 tables run
+  // their 4-row tile four times; the AVX-512 table has zmm tiles.
+  GemmTile4x16Fn tile16x16;
+  GemmTileEp4x16Fn tile16x16_ep;
+  GemmTileI16Fn tile16x16_i16;
+  GemmTileI16Ep4x16Fn tile16x16_i16_ep;
   Conv3x3TileI32Fn conv3x3_i32;
   QdqF32Fn qdq_f32;
   QuantF32ToI16Fn quant_f32_i16;
@@ -192,28 +212,29 @@ struct GemmKernels {
   MulF32Fn mul_f32;
   ScaleF32Fn scale_f32;
   AffineF32Fn affine_f32;
-  const char* isa;  // "scalar" or "avx2+fma"
+  const char* isa;  // "scalar", "avx2+fma" or "avx512"
 };
 
-/// The kernel set every tiled GEMM call uses right now (AVX2 when
-/// compiled in, supported by the CPU, and not disabled; scalar otherwise).
+/// Instruction-set tiers, lowest first.
+enum class GemmIsa { kScalar, kAvx2, kAvx512 };
+
+/// The kernel set every tiled GEMM call uses right now: the highest tier
+/// that is usable (gemm_isa_usable) and not above the gemm_cap_isa cap.
 const GemmKernels& active_gemm_kernels();
 
-/// Name of the active instruction set ("scalar" / "avx2+fma").
+/// Name of the active instruction set ("scalar" / "avx2+fma" / "avx512").
 const char* gemm_isa_name();
 
-/// True when the AVX2 translation unit was built with AVX2+FMA codegen.
-bool gemm_avx2_compiled();
+/// True when `isa`'s kernels are compiled in (AVX2+FMA, resp. AVX-512
+/// F/BW/VL/VNNI codegen), the host CPU supports them, and ODENET_SIMD
+/// does not cap dispatch below them. kScalar is always usable.
+bool gemm_isa_usable(GemmIsa isa);
 
-/// True when the AVX2 kernels are compiled in, the host CPU supports
-/// AVX2+FMA, and ODENET_SIMD does not disable them.
-bool gemm_avx2_usable();
-
-/// Force the scalar kernels regardless of CPU support — the bench's
-/// SIMD-off A/B rows and the ISA-parity tests flip this around runs.
-/// Not meant to be toggled while kernels are executing concurrently.
-void gemm_force_scalar(bool force);
-bool gemm_forced_scalar();
+/// Caps dispatch at `cap` regardless of CPU support and returns the
+/// previous cap; kAvx512 (the default) removes the cap. The bench's A/B
+/// rows and the ISA-parity tests set this around runs. Not meant to be
+/// changed while kernels are executing concurrently.
+GemmIsa gemm_cap_isa(GemmIsa cap);
 
 /// Fused-epilogue master switch: when off, eval-mode Conv2d/BuildingBlock
 /// keep the unfused conv -> BN -> ReLU -> axpy sequence (the benches' A/B
@@ -275,9 +296,10 @@ void pack_gemm_b_i16(const std::int16_t* b, int k, int n, PackedGemmB16& out);
 
 /// Integer GEMM: C[m,n] (+)= A * B with A pre-packed (PackedGemmA16), B
 /// row-major int16 [k,n], C int32 — the explicit-lowering oracle of
-/// gemm_i16_lowered_ep (test-side only): B is packed per column panel into recycled thread-local storage, full 4x16
-/// tiles run the dispatched micro-kernel, ragged edges run an
-/// ISA-independent scalar path with identical wraparound semantics, and
+/// gemm_i16_lowered_ep (test-side only): B is packed per column panel into
+/// storage the packing task owns, full 4x16 tiles run the dispatched
+/// micro-kernel, ragged edges run an ISA-independent scalar path with
+/// identical wraparound semantics, and
 /// the panel x row-block thread split is bitwise invariant for any worker
 /// count (integer addition commutes mod 2^32).
 void gemm_i16_tiled_pa(const PackedGemmA16& a, const std::int16_t* b,

@@ -10,6 +10,8 @@
 
 #include <immintrin.h>
 
+#include "core/gemm_tile_stack.hpp"
+
 #include <cmath>
 #include <cstring>
 
@@ -567,6 +569,11 @@ void affine_f32_avx2(const float* src, float* dst, std::size_t n, float scale,
 
 constexpr GemmKernels kAvx2Kernels{tile4x16_avx2,     dot_avx2,
                                    tile4x16_i16_avx2, tile4x16_i16_ep_avx2,
+                                   detail::stack_tile<tile4x16_avx2>,
+                                   detail::stack_tile_ep<tile4x16_ep_avx2>,
+                                   detail::stack_tile_i16<tile4x16_i16_avx2>,
+                                   detail::stack_tile_i16_ep<
+                                       tile4x16_i16_ep_avx2>,
                                    conv3x3_i32_avx2, qdq_f32_avx2,
                                    quant_f32_i16_avx2, requant_i32_avx2,
                                    max_abs_f32_avx2, tile4x16_ep_avx2,

@@ -292,7 +292,11 @@ void run_panel_split(int m, int k, int n, int panels, int row_tiles,
                          static_cast<std::size_t>(panels)));
     row_blocks = std::max(row_blocks, 1);
   }
-  const int tiles_per_block = (row_tiles + row_blocks - 1) / row_blocks;
+  // Blocks start on a whole group of kGemmGroupTiles row tiles, so a
+  // split does not break up the 16-row tiles.
+  const int tiles_per_block =
+      ((row_tiles + row_blocks - 1) / row_blocks + kGemmGroupTiles - 1) /
+      kGemmGroupTiles * kGemmGroupTiles;
   util::parallel_for(
       pool, 0, static_cast<std::size_t>(panels) * row_blocks,
       [&](std::size_t task) {
@@ -331,9 +335,13 @@ struct TileOut {
 ///    of columns [p0, p0 + pn), `bstride` elements apart, phantom columns
 ///    zero — copied from a row-major B, pointed into a pre-packed B, or
 ///    gathered straight from an NCHW image;
-///  * tile(t, bpanel, c, ldc, r, ldr) runs the micro-kernel for row tile t
-///    and stores it — plain, accumulating, or through an epilogue.
-/// One edge rule: a tile that is ragged (rows past m, columns past n) or
+///  * tile(t, rows, bpanel, c, ldc, r, ldr) runs the micro-kernel for the
+///    `rows` (4, or kGemmGroupRows = 16: row tiles t..t+3) rows from row
+///    tile t and stores them — plain, accumulating, or through an
+///    epilogue.
+/// Row tiles are walked in groups of four: a full group on a full column
+/// tile inside one sample runs the 16-row kernel entry. One edge rule for
+/// the rest: a 4-row tile that is ragged (rows past m, columns past n) or
 /// straddles two samples runs the same full kernel into a local 4x16 tile
 /// (its r window copied in first) and copies the live corner out. Every
 /// element is therefore computed by the same kernel lane in the same k
@@ -351,33 +359,46 @@ void run_tiles(int m, int k, int n, std::size_t bstride, const TileOut& o,
     // Task-local B panel: written and read by this task only.
     static thread_local std::vector<T> scratch;
     const T* panel = pack_panel(p0, pn, scratch);
-    for (int t = t0; t < t1; ++t) {
-      const int i0 = t * kTileRows;
-      const int mr = std::min(kTileRows, m - i0);
+    for (int g = t0; g < t1; g += kGemmGroupTiles) {
+      const int g1 = std::min(t1, g + kGemmGroupTiles);
+      const bool full_group = g1 - g == kGemmGroupTiles &&
+                              g1 * kTileRows <= m;
       for (int jt = 0; jt * kTileCols < pn; ++jt) {
         const int j0 = p0 + jt * kTileCols;
-        const int nr = std::min(kTileCols, n - j0);
+        const bool full_cols =
+            n - j0 >= kTileCols &&
+            static_cast<std::size_t>(j0) % o.plane + kTileCols <= o.plane;
         const T* bp = panel + static_cast<std::size_t>(jt) * bstride;
-        if (mr == kTileRows && nr == kTileCols &&
-            static_cast<std::size_t>(j0) % o.plane + kTileCols <= o.plane) {
-          const std::size_t off = o.at(i0, j0);
-          tile(t, bp, o.c + off, o.plane, o.r != nullptr ? o.r + off : nullptr,
-               o.plane);
+        if (full_group && full_cols) {
+          const std::size_t off = o.at(g * kTileRows, j0);
+          tile(g, kGemmGroupRows, bp, o.c + off, o.plane,
+               o.r != nullptr ? o.r + off : nullptr, o.plane);
           continue;
         }
-        float local[kTileRows * kTileCols] = {};
-        if (o.r != nullptr) {
-          for (int i = 0; i < mr; ++i) {
-            for (int j = 0; j < nr; ++j) {
-              local[i * kTileCols + j] = o.r[o.at(i0 + i, j0 + j)];
+        for (int t = g; t < g1; ++t) {
+          const int i0 = t * kTileRows;
+          if (i0 + kTileRows <= m && full_cols) {
+            const std::size_t off = o.at(i0, j0);
+            tile(t, kTileRows, bp, o.c + off, o.plane,
+                 o.r != nullptr ? o.r + off : nullptr, o.plane);
+            continue;
+          }
+          const int mr = std::min(kTileRows, m - i0);
+          const int nr = std::min(kTileCols, n - j0);
+          float local[kTileRows * kTileCols] = {};
+          if (o.r != nullptr) {
+            for (int i = 0; i < mr; ++i) {
+              for (int j = 0; j < nr; ++j) {
+                local[i * kTileCols + j] = o.r[o.at(i0 + i, j0 + j)];
+              }
             }
           }
-        }
-        tile(t, bp, local, kTileCols, o.r != nullptr ? local : nullptr,
-             kTileCols);
-        for (int i = 0; i < mr; ++i) {
-          for (int j = 0; j < nr; ++j) {
-            o.c[o.at(i0 + i, j0 + j)] = local[i * kTileCols + j];
+          tile(t, kTileRows, bp, local, kTileCols,
+               o.r != nullptr ? local : nullptr, kTileCols);
+          for (int i = 0; i < mr; ++i) {
+            for (int j = 0; j < nr; ++j) {
+              o.c[o.at(i0 + i, j0 + j)] = local[i * kTileCols + j];
+            }
           }
         }
       }
@@ -385,10 +406,12 @@ void run_tiles(int m, int k, int n, std::size_t bstride, const TileOut& o,
   });
 }
 
-/// The 4 per-row epilogue coefficients of the row tile at i0; a ragged
-/// last tile reads a zero-padded copy.
-inline const float* row_coeffs(const float* v, int i0, int m, float* pad) {
-  if (v == nullptr || i0 + kTileRows <= m) {
+/// The per-row epilogue coefficients of the `rows` rows from i0; a ragged
+/// last 4-row tile reads a zero-padded copy (16-row groups are never
+/// ragged).
+inline const float* row_coeffs(const float* v, int i0, int rows, int m,
+                               float* pad) {
+  if (v == nullptr || i0 + rows <= m) {
     return v != nullptr ? v + i0 : nullptr;
   }
   std::fill_n(pad, kTileRows, 0.0f);
@@ -399,12 +422,12 @@ inline const float* row_coeffs(const float* v, int i0, int m, float* pad) {
 /// Plain or accumulating float store: C (+)= A * B.
 auto plain_tile(const PackedGemmA& a, bool accumulate) {
   const GemmKernels* kernels = &active_gemm_kernels();
-  return [&a, kernels, accumulate](int t, const float* bp, float* c,
-                                   std::size_t ldc, const float*,
+  return [&a, kernels, accumulate](int t, int rows, const float* bp,
+                                   float* c, std::size_t ldc, const float*,
                                    std::size_t) {
-    kernels->tile4x16(a.data.data() + static_cast<std::size_t>(t) * a.k *
-                                          kTileRows,
-                      bp, a.k, c, ldc, accumulate);
+    (rows == kTileRows ? kernels->tile4x16 : kernels->tile16x16)(
+        a.data.data() + static_cast<std::size_t>(t) * a.k * kTileRows, bp,
+        a.k, c, ldc, accumulate);
   };
 }
 
@@ -736,14 +759,14 @@ void gemm_lowered_ep(const PackedGemmA& a, const float* src,
       [&](int p0, int pn, std::vector<float>& s) {
         return gather_panel(plan, k, p0, pn, s);
       },
-      [&](int t, const float* bp, float* c, std::size_t ldc, const float* r,
-          std::size_t ldr) {
+      [&](int t, int rows, const float* bp, float* c, std::size_t ldc,
+          const float* r, std::size_t ldr) {
         float s4[kTileRows] = {}, b4[kTileRows] = {};
         const int i0 = t * kTileRows;
-        kernels.tile4x16_ep(
+        (rows == kTileRows ? kernels.tile4x16_ep : kernels.tile16x16_ep)(
             a.data.data() + static_cast<std::size_t>(t) * k * kTileRows, bp,
-            k, c, ldc, row_coeffs(ep.scale, i0, m, s4),
-            row_coeffs(ep.shift, i0, m, b4), ep.relu, r, ldr, ep.beta);
+            k, c, ldc, row_coeffs(ep.scale, i0, rows, m, s4),
+            row_coeffs(ep.shift, i0, rows, m, b4), ep.relu, r, ldr, ep.beta);
       });
 }
 
@@ -767,14 +790,15 @@ void gemm_i16_lowered_ep(const PackedGemmA16& a, const std::int16_t* src,
       [&](int p0, int pn, std::vector<std::int16_t>& s) {
         return gather_panel(plan, k, p0, pn, s);
       },
-      [&](int t, const std::int16_t* bp, float* c, std::size_t ldc,
-          const float* r, std::size_t ldr) {
+      [&](int t, int rows, const std::int16_t* bp, float* c,
+          std::size_t ldc, const float* r, std::size_t ldr) {
         float s4[kTileRows] = {}, b4[kTileRows] = {};
         const int i0 = t * kTileRows;
-        kernels.tile4x16_i16_ep(
+        (rows == kTileRows ? kernels.tile4x16_i16_ep
+                           : kernels.tile16x16_i16_ep)(
             a.data.data() + static_cast<std::size_t>(t) * kp * kTileRows * 2,
-            bp, kp, c, ldc, row_coeffs(ep.scale, i0, m, s4),
-            row_coeffs(ep.shift, i0, m, b4), r, ldr, ep.round_shift,
+            bp, kp, c, ldc, row_coeffs(ep.scale, i0, rows, m, s4),
+            row_coeffs(ep.shift, i0, rows, m, b4), r, ldr, ep.round_shift,
             ep.frac_bits, ep.relu, ep.beta);
       });
 }

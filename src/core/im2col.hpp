@@ -2,7 +2,9 @@
 // Linear layer.
 //
 // The driver (im2col.cpp run_tiles) sweeps 4x16 micro-kernel tiles column
-// panel by column panel on one panel x row-block thread split, and has two
+// panel by column panel on one panel x row-block thread split, running
+// whole groups of four row tiles through the kernel table's 16-row entry
+// (the AVX-512 zmm tiles, four 4x16 tiles on the other tiers). It has two
 // variation points:
 //  * where B micro-panels come from — copied from a row-major B
 //    (gemm_tiled: the backward dX products), pre-packed (gemm_tiled_pb:

@@ -1,8 +1,9 @@
 // StageExecutor backends and StagePlan routing (models/executor.hpp,
 // sched/fpga_executor.hpp): backend parity within quantization tolerance,
-// single dispatch loop, per-stage stats; and the fixed backend's fused
+// single dispatch loop, per-stage stats; the fixed backend's fused
 // int16 datapath against the unfused chain of standalone primitives,
-// bitwise, on every architecture, ISA, worker count and fault path.
+// bitwise, on every architecture, ISA, worker count and fault path; and
+// float and fixed forwards on the AVX-512 tier memcmp-equal to AVX2.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 
 #include "core/im2col.hpp"
 #include "fixed/fixed_tensor.hpp"
+#include "isa_tiers.hpp"
 #include "models/executor.hpp"
 #include "models/network.hpp"
 #include "sched/fpga_executor.hpp"
@@ -409,16 +411,15 @@ namespace {
 
 /// RAII kernel-pool + parallel-threshold + ISA override.
 struct KernelOverride {
-  KernelOverride(util::ThreadPool* pool, bool scalar) {
+  KernelOverride(util::ThreadPool* pool, core::GemmIsa cap) : isa(cap) {
     core::set_kernel_pool(pool);
     core::gemm_set_parallel_min_flops(1);
-    core::gemm_force_scalar(scalar);
   }
   ~KernelOverride() {
     core::set_kernel_pool(nullptr);
     core::gemm_set_parallel_min_flops(0);
-    core::gemm_force_scalar(false);
   }
+  odenet::testing::IsaCap isa;
 };
 
 void expect_bitwise(const core::Tensor& got, const core::Tensor& want) {
@@ -479,7 +480,7 @@ TEST(Executor, FusedFixedForwardMatchesUnfusedChainOnAllArchitectures) {
 }
 
 TEST(Executor, FusedFixedForwardIsIsaThreadAndBatchInvariant) {
-  // n in {1, 3, 16}; scalar and AVX2 kernels; 1, 2 and 4 workers with
+  // n in {1, 3, 16}; every usable ISA tier; 1, 2 and 4 workers with
   // every GEMM forced onto the split path. A 12x12 input gives 36- and
   // 9-pixel planes, so output tiles straddle samples.
   util::Rng rng(52);
@@ -488,13 +489,13 @@ TEST(Executor, FusedFixedForwardIsIsaThreadAndBatchInvariant) {
   net.set_training(false);
   for (int n : {1, 3, 16}) {
     const core::Tensor x = random_input(n, rng);
-    for (bool scalar : {false, true}) {
-      if (!scalar && !core::gemm_avx2_usable()) continue;
+    for (core::GemmIsa isa : odenet::testing::kAllIsas) {
+      if (!core::gemm_isa_usable(isa)) continue;
       for (std::size_t workers : {1u, 2u, 4u}) {
-        SCOPED_TRACE("n=" + std::to_string(n) + (scalar ? " scalar" : " avx2") +
-                     " workers=" + std::to_string(workers));
         util::ThreadPool pool(workers);
-        KernelOverride ov(&pool, scalar);
+        KernelOverride ov(&pool, isa);
+        SCOPED_TRACE("n=" + std::to_string(n) + " " + core::gemm_isa_name() +
+                     " workers=" + std::to_string(workers));
         expect_fixed_matches_reference(net, x);
       }
     }
@@ -527,7 +528,7 @@ TEST(Executor, FixedFloatCarrierAndBatchStatsBnMatchUnfusedChain) {
   for (std::size_t workers : {1u, 4u}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     util::ThreadPool pool(workers);
-    KernelOverride ov(&pool, /*scalar=*/false);
+    KernelOverride ov(&pool, core::GemmIsa::kAvx512);
     models::FixedStageExecutor carrier(29);
     UnfusedFixedReference ref(29, /*float_only=*/true);
     models::StagePlan carrier_plan(&carrier);
@@ -607,5 +608,42 @@ TEST(Executor, FixedNonFiniteAndSaturatingImagesMatchUnfusedChain) {
     expect_bitwise(fixed.run(stage, x, nullptr), ref.run(stage, x, nullptr));
     ASSERT_FALSE(ref.calls.empty());
     EXPECT_TRUE(ref.calls.front().second) << "rail input should run int16";
+  }
+}
+
+TEST(Executor, Avx512ForwardsMatchAvx2OnAllArchitectures) {
+  // Float and fixed forwards of all seven architectures, batch 3, on the
+  // AVX-512 tier against AVX2, memcmp, at 1, 2 and 4 workers with every
+  // GEMM on the split path. Base width 8 gives 8-, 16- and 32-channel
+  // convs (the 4-row route and whole 16-row groups) over 16x16, 8x8 and
+  // 4x4 planes, and a ragged 5-class head.
+  const std::string skip = odenet::testing::avx512_skip_reason();
+  if (!skip.empty()) GTEST_SKIP() << skip;
+  util::Rng rng(56);
+  models::WidthConfig width = tiny_width();
+  width.base_channels = 8;
+  for (Arch arch : models::all_archs()) {
+    SCOPED_TRACE(models::arch_name(arch));
+    models::Network net(models::make_spec(arch, 20, width));
+    net.init(rng);
+    net.set_training(false);
+    const core::Tensor x = random_input(3, rng);
+    for (std::size_t workers : {1u, 2u, 4u}) {
+      util::ThreadPool pool(workers);
+      KernelOverride ov(&pool, core::GemmIsa::kAvx512);
+      auto logits = [&](models::StageExecutor* exec) {
+        models::StagePlan plan(exec);
+        const core::Tensor y = net.forward_with(x, plan);
+        return std::vector<float>(y.data(), y.data() + y.numel());
+      };
+      models::FloatStageExecutor float_exec;
+      models::FixedStageExecutor fixed_exec(20);
+      odenet::testing::expect_avx512_matches_avx2(
+          [&] { return logits(&float_exec); },
+          "float workers=" + std::to_string(workers));
+      odenet::testing::expect_avx512_matches_avx2(
+          [&] { return logits(&fixed_exec); },
+          "fixed workers=" + std::to_string(workers));
+    }
   }
 }

@@ -323,11 +323,12 @@ TEST(FixedTensor, QdqKernelIsBitwiseQdqValue) {
       want[i] = qdq_value(src[i], frac);
     }
     for (bool scalar : {false, true}) {
-      odenet::core::gemm_force_scalar(scalar);
+      odenet::core::gemm_cap_isa(scalar ? odenet::core::GemmIsa::kScalar
+                                 : odenet::core::GemmIsa::kAvx512);
       std::vector<float> got = src;
       odenet::core::active_gemm_kernels().qdq_f32(got.data(), got.size(),
                                                   frac);
-      odenet::core::gemm_force_scalar(false);
+      odenet::core::gemm_cap_isa(odenet::core::GemmIsa::kAvx512);
       EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
                                want.size() * sizeof(float)))
           << (scalar ? "scalar" : "dispatched");

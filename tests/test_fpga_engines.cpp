@@ -230,9 +230,10 @@ void expect_conv_matches_reference(const ConvEngine& engine,
   const ofx::FixedTensor want =
       odenet::testing::pl_conv_reference(weights, x, t, 20);
   for (bool scalar : {true, false}) {
-    odenet::core::gemm_force_scalar(scalar);
+    odenet::core::gemm_cap_isa(scalar ? odenet::core::GemmIsa::kScalar
+                               : odenet::core::GemmIsa::kAvx512);
     const ofx::FixedTensor got = engine.run(x, t);
-    odenet::core::gemm_force_scalar(false);
+    odenet::core::gemm_cap_isa(odenet::core::GemmIsa::kAvx512);
     ASSERT_EQ(got.shape, want.shape) << where;
     ASSERT_EQ(got.raw, want.raw)
         << where << " t=" << t << " isa="
@@ -525,9 +526,10 @@ TEST(Accelerator, EulerSolveMatchesReferenceBitwise) {
   const Tensor want =
       odenet::testing::pl_solve_euler_reference(block, z0, 24, h, 20);
   for (bool scalar : {true, false}) {
-    odenet::core::gemm_force_scalar(scalar);
+    odenet::core::gemm_cap_isa(scalar ? odenet::core::GemmIsa::kScalar
+                               : odenet::core::GemmIsa::kAvx512);
     const Tensor got = accel.solve_euler(z0, 24, h);
-    odenet::core::gemm_force_scalar(false);
+    odenet::core::gemm_cap_isa(odenet::core::GemmIsa::kAvx512);
     ASSERT_TRUE(got.same_shape(want));
     for (std::size_t i = 0; i < want.numel(); ++i) {
       ASSERT_EQ(got.data()[i], want.data()[i])

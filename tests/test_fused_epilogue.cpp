@@ -9,6 +9,8 @@
 //    GEMM -> permute composition, bitwise, for any geometry;
 //  * the standalone elementwise kernels against references and BITWISE
 //    scalar-vs-AVX2 (including -0.0 and NaN for relu);
+//  * gemm_lowered_ep on the AVX-512 16-row tiles memcmp-equal to AVX2
+//    across m, geometries, epilogues and worker counts;
 //  * thread-count invariance of the epilogue GEMM (bitwise at 1/2/8), and
 //    of the composition and lowering checks (bitwise at 1/2/4);
 //  * Conv2d::forward_fused == forward + affine + relu (+ accumulate),
@@ -24,6 +26,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/block.hpp"
@@ -31,6 +34,7 @@
 #include "core/gemm_kernels.hpp"
 #include "core/im2col.hpp"
 #include "core/init.hpp"
+#include "isa_tiers.hpp"
 #include "models/odeblock.hpp"
 #include "solver/ode.hpp"
 #include "util/rng.hpp"
@@ -40,6 +44,7 @@ using namespace odenet::core;
 namespace om = odenet::models;
 namespace os = odenet::solver;
 namespace ou = odenet::util;
+using odenet::testing::IsaCap;
 
 namespace {
 
@@ -133,12 +138,6 @@ void gemm_ep(const PackedGemmA& pa, const float* b, float* c, int n,
                            .kernel = 1, .stride = 1, .pad = 0};
   gemm_lowered_ep(pa, b, g, 1, c, ep);
 }
-
-/// RAII scalar-forcing so a failing EXPECT cannot leak the override.
-struct ForceScalar {
-  explicit ForceScalar(bool on) { gemm_force_scalar(on); }
-  ~ForceScalar() { gemm_force_scalar(false); }
-};
 
 /// RAII kernel-pool + parallel-threshold override.
 struct PoolOverride {
@@ -271,7 +270,7 @@ std::vector<float> run_implicit_vs_explicit(ou::Rng& rng) {
       };
       const std::vector<float> got = check();
       all.insert(all.end(), got.begin(), got.end());
-      ForceScalar forced(true);
+      IsaCap cap(GemmIsa::kScalar);
       check();
     }
   }
@@ -296,13 +295,13 @@ TEST(FusedEpilogue, GemmEpMatchesUnfusedCompositionBitwise) {
 }
 
 TEST(FusedEpilogue, GemmEpScalarMatchesUnfusedCompositionBitwise) {
-  ForceScalar forced(true);
+  IsaCap cap(GemmIsa::kScalar);
   ou::Rng rng(22);
   for (const Shape& s : kShapes) run_ep_vs_composition(s, rng);
 }
 
 TEST(FusedEpilogue, GemmEpIsaParityWithinTolerance) {
-  if (!gemm_avx2_usable()) {
+  if (!gemm_isa_usable(GemmIsa::kAvx2)) {
     GTEST_SKIP() << "AVX2+FMA kernels not usable on this host";
   }
   ou::Rng rng(23);
@@ -323,7 +322,7 @@ TEST(FusedEpilogue, GemmEpIsaParityWithinTolerance) {
     std::vector<float> vec(cn), sca(cn);
     gemm_ep(pa, b.data(), vec.data(), s.n, ep);
     {
-      ForceScalar forced(true);
+      IsaCap cap(GemmIsa::kScalar);
       gemm_ep(pa, b.data(), sca.data(), s.n, ep);
     }
     // The k loop uses FMA on AVX2, so parity is tolerance-based (the
@@ -437,6 +436,67 @@ TEST(FusedEpilogue, GemmEpThreadCountInvarianceIsBitwise) {
   }
 }
 
+TEST(FusedEpilogue, Avx512LoweredConvMatchesAvx2Bitwise) {
+  // gemm_lowered_ep with m covering whole 16-row groups, a lone 4-row
+  // remainder and ragged rows; 64-px planes (windows inside one sample),
+  // 36-px planes (windows straddling samples), stride 2, and the identity
+  // lowering with ragged n; identity, affine + ReLU, and affine + ReLU +
+  // the in-place residual (aliasing the output); 1, 2 and 4 workers.
+  const std::string skip = odenet::testing::avx512_skip_reason();
+  if (!skip.empty()) GTEST_SKIP() << skip;
+  struct Geo {
+    int batch, c, h, w, kernel, stride, pad;
+  };
+  const Geo geos[] = {{3, 4, 8, 8, 3, 1, 1},   {3, 3, 6, 6, 3, 1, 1},
+                      {2, 3, 12, 12, 3, 2, 1}, {1, 9, 1, 17, 1, 1, 0},
+                      {1, 5, 1, 257, 1, 1, 0}};
+  ou::Rng rng(34);
+  for (int m : {4, 8, 12, 16, 20, 64, 100}) {
+    for (const Geo& geo : geos) {
+      const LoweringGeometry g{.channels = geo.c, .height = geo.h,
+                               .width = geo.w, .kernel = geo.kernel,
+                               .stride = geo.stride, .pad = geo.pad};
+      SCOPED_TRACE(testing::Message() << "m=" << m << " c=" << geo.c << " "
+                                      << geo.h << "x" << geo.w
+                                      << " s=" << geo.stride);
+      const auto src = random_vec(
+          static_cast<std::size_t>(geo.batch) * geo.c * geo.h * geo.w, rng);
+      const auto wvec = random_vec(m * g.col_rows(), rng);
+      const auto scale = random_vec(static_cast<std::size_t>(m), rng);
+      const auto shift = random_vec(static_cast<std::size_t>(m), rng);
+      const auto resid = random_vec(
+          static_cast<std::size_t>(m) * g.col_cols() * geo.batch, rng);
+      PackedGemmA pa;
+      pack_gemm_a(wvec.data(), m, static_cast<int>(g.col_rows()), pa);
+      for (int mode = 0; mode < 3; ++mode) {
+        for (std::size_t workers : {1u, 2u, 4u}) {
+          ou::ThreadPool pool(workers);
+          PoolOverride ov(&pool, 1);
+          odenet::testing::expect_avx512_matches_avx2(
+              [&] {
+                std::vector<float> out(resid.size(), -7.0f);
+                GemmEpilogue ep;
+                if (mode > 0) {
+                  ep.scale = scale.data();
+                  ep.shift = shift.data();
+                  ep.relu = true;
+                }
+                if (mode == 2) {
+                  out = resid;
+                  ep.residual = out.data();
+                  ep.beta = 0.37f;
+                }
+                gemm_lowered_ep(pa, src.data(), g, geo.batch, out.data(), ep);
+                return out;
+              },
+              "mode=" + std::to_string(mode) +
+                  " workers=" + std::to_string(workers));
+        }
+      }
+    }
+  }
+}
+
 TEST(FusedEpilogue, ElementwiseKernelsMatchReference) {
   ou::Rng rng(26);
   const GemmKernels& k = active_gemm_kernels();
@@ -501,14 +561,14 @@ TEST(FusedEpilogue, ReluKernelSpecialValues) {
   EXPECT_EQ(got[5], std::numeric_limits<float>::infinity());
   EXPECT_EQ(got[6], 0.0f);
 
-  ForceScalar forced(true);
+  IsaCap cap(GemmIsa::kScalar);
   std::vector<float> sca(x.size());
   active_gemm_kernels().relu_f32(x.data(), sca.data(), x.size());
   EXPECT_EQ(0, std::memcmp(sca.data(), got.data(), x.size() * sizeof(float)));
 }
 
 TEST(FusedEpilogue, ElementwiseIsaParityIsBitwise) {
-  if (!gemm_avx2_usable()) {
+  if (!gemm_isa_usable(GemmIsa::kAvx2)) {
     GTEST_SKIP() << "AVX2+FMA kernels not usable on this host";
   }
   ou::Rng rng(27);
@@ -521,7 +581,7 @@ TEST(FusedEpilogue, ElementwiseIsaParityIsBitwise) {
 
     active_gemm_kernels().relu_f32(x.data(), vec.data(), n);
     {
-      ForceScalar forced(true);
+      IsaCap cap(GemmIsa::kScalar);
       active_gemm_kernels().relu_f32(x.data(), sca.data(), n);
     }
     EXPECT_EQ(0, std::memcmp(vec.data(), sca.data(), n * sizeof(float)));
@@ -530,14 +590,14 @@ TEST(FusedEpilogue, ElementwiseIsaParityIsBitwise) {
     active_gemm_kernels().axpy_f32(-0.3f, x.data(), vec.data(), n);
     sca = y0;
     {
-      ForceScalar forced(true);
+      IsaCap cap(GemmIsa::kScalar);
       active_gemm_kernels().axpy_f32(-0.3f, x.data(), sca.data(), n);
     }
     EXPECT_EQ(0, std::memcmp(vec.data(), sca.data(), n * sizeof(float)));
 
     active_gemm_kernels().mul_f32(x.data(), y0.data(), vec.data(), n);
     {
-      ForceScalar forced(true);
+      IsaCap cap(GemmIsa::kScalar);
       active_gemm_kernels().mul_f32(x.data(), y0.data(), sca.data(), n);
     }
     EXPECT_EQ(0, std::memcmp(vec.data(), sca.data(), n * sizeof(float)));
@@ -546,14 +606,14 @@ TEST(FusedEpilogue, ElementwiseIsaParityIsBitwise) {
     active_gemm_kernels().scale_f32(vec.data(), n, 0.7f);
     sca = x;
     {
-      ForceScalar forced(true);
+      IsaCap cap(GemmIsa::kScalar);
       active_gemm_kernels().scale_f32(sca.data(), n, 0.7f);
     }
     EXPECT_EQ(0, std::memcmp(vec.data(), sca.data(), n * sizeof(float)));
 
     active_gemm_kernels().affine_f32(x.data(), vec.data(), n, 1.1f, 0.2f);
     {
-      ForceScalar forced(true);
+      IsaCap cap(GemmIsa::kScalar);
       active_gemm_kernels().affine_f32(x.data(), sca.data(), n, 1.1f, 0.2f);
     }
     EXPECT_EQ(0, std::memcmp(vec.data(), sca.data(), n * sizeof(float)));

@@ -4,7 +4,8 @@
 //    ragged cols, panel boundaries, odd k);
 //  * ISA parity — the AVX2 madd kernel against the scalar fallback must
 //    be BITWISE identical, including on accumulators that wrap mod 2^32
-//    (both sides use defined wraparound arithmetic);
+//    (both sides use defined wraparound arithmetic), and the AVX-512 VNNI
+//    16-row tiles and the fused conv driver memcmp-equal to AVX2;
 //  * thread-count invariance — the panel x row-block split never changes
 //    any tile's summation order, so 1/2/8 workers agree bitwise;
 //  * saturation edges — operands at the int16 rails accumulate exactly
@@ -31,12 +32,14 @@
 #include "core/im2col.hpp"
 #include "core/tensor.hpp"
 #include "fixed/fixed_tensor.hpp"
+#include "isa_tiers.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace odenet::core;
 namespace ou = odenet::util;
 namespace of = odenet::fixed;
+using odenet::testing::IsaCap;
 
 namespace {
 
@@ -87,12 +90,6 @@ const Shape kShapes[] = {
     {64, 36, 585}, {100, 7, 130},
 };
 
-/// RAII scalar-forcing so a failing EXPECT cannot leak the override.
-struct ForceScalar {
-  explicit ForceScalar(bool on) { gemm_force_scalar(on); }
-  ~ForceScalar() { gemm_force_scalar(false); }
-};
-
 /// RAII kernel-pool + parallel-threshold override.
 struct PoolOverride {
   explicit PoolOverride(ou::ThreadPool* pool, std::size_t min_flops) {
@@ -139,13 +136,13 @@ TEST(GemmInt16, TiledMatchesInt64ReferenceAcrossGeometries) {
 }
 
 TEST(GemmInt16, ScalarFallbackMatchesReferenceAcrossGeometries) {
-  ForceScalar forced(true);
+  IsaCap cap(GemmIsa::kScalar);
   ou::Rng rng(22);
   run_i16_sweep(rng);
 }
 
 TEST(GemmInt16, IsaParityIsBitwise) {
-  if (!gemm_avx2_usable()) {
+  if (!gemm_isa_usable(GemmIsa::kAvx2)) {
     GTEST_SKIP() << "AVX2+FMA kernels not usable on this host";
   }
   ou::Rng rng(23);
@@ -162,7 +159,7 @@ TEST(GemmInt16, IsaParityIsBitwise) {
     std::vector<std::int32_t> vec(cn, -1), sca(cn, -2);
     gemm_i16_tiled_pa(pa, b.data(), vec.data(), s.n, false);
     {
-      ForceScalar forced(true);
+      IsaCap cap(GemmIsa::kScalar);
       gemm_i16_tiled_pa(pa, b.data(), sca.data(), s.n, false);
     }
     EXPECT_EQ(0, std::memcmp(vec.data(), sca.data(),
@@ -234,8 +231,8 @@ TEST(GemmInt16, SaturationRailOperandsAccumulateExactly) {
   gemm_i16_tiled_pa(pa, b.data(), c.data(), n, false);
   EXPECT_EQ(0, std::memcmp(c.data(), want.data(),
                            want.size() * sizeof(std::int32_t)));
-  if (gemm_avx2_usable()) {
-    ForceScalar forced(true);
+  if (gemm_isa_usable(GemmIsa::kAvx2)) {
+    IsaCap cap(GemmIsa::kScalar);
     std::vector<std::int32_t> sca(want.size());
     gemm_i16_tiled_pa(pa, b.data(), sca.data(), n, false);
     EXPECT_EQ(0, std::memcmp(c.data(), sca.data(),
@@ -310,7 +307,7 @@ TEST(GemmInt16, QuantizeKernelsAreIsaBitwiseAndHandleSpecials) {
     std::vector<std::int16_t> qv(src.size()), qs(src.size());
     k.quant_f32_i16(src.data(), qv.data(), src.size(), frac);
     {
-      ForceScalar forced(true);
+      IsaCap cap(GemmIsa::kScalar);
       active_gemm_kernels().quant_f32_i16(src.data(), qs.data(), src.size(),
                                           frac);
     }
@@ -326,7 +323,7 @@ TEST(GemmInt16, QuantizeKernelsAreIsaBitwiseAndHandleSpecials) {
     std::vector<float> dv(src), ds(src);
     k.qdq_f32(dv.data(), dv.size(), frac);
     {
-      ForceScalar forced(true);
+      IsaCap cap(GemmIsa::kScalar);
       active_gemm_kernels().qdq_f32(ds.data(), ds.size(), frac);
     }
     EXPECT_EQ(0,
@@ -356,7 +353,7 @@ TEST(GemmInt16, QuantizeKernelsAreIsaBitwiseAndHandleSpecials) {
     std::vector<float> rv(accs.size()), rs(accs.size());
     k.requant_i32(accs.data(), rv.data(), accs.size(), shift, 20);
     {
-      ForceScalar forced(true);
+      IsaCap cap(GemmIsa::kScalar);
       active_gemm_kernels().requant_i32(accs.data(), rs.data(), accs.size(),
                                         shift, 20);
     }
@@ -389,7 +386,7 @@ TEST(GemmInt16, MaxAbsKernelIsIsaBitwiseAndExact) {
   const float vec = active_gemm_kernels().max_abs_f32(src.data(), src.size());
   float sca;
   {
-    ForceScalar forced(true);
+    IsaCap cap(GemmIsa::kScalar);
     sca = active_gemm_kernels().max_abs_f32(src.data(), src.size());
   }
   EXPECT_EQ(vec, ref);
@@ -545,7 +542,6 @@ std::vector<float> fused_conv(ConvFixture& f, const ConvCase& cc, EpMode mode,
 
 TEST(GemmInt16, FusedLoweredEpilogueMatchesUnfusedChainBitwise) {
   ou::Rng rng(41);
-  const bool avx2 = gemm_avx2_usable();
   for (const ConvCase& cc : kConvCases) {
     SCOPED_TRACE(cc.str());
     ConvFixture f(cc, rng);
@@ -562,9 +558,9 @@ TEST(GemmInt16, FusedLoweredEpilogueMatchesUnfusedChainBitwise) {
                      std::to_string(static_cast<int>(mode)));
         const float beta = mode == EpMode::kEuler ? 0.125f : 1.0f;
         const auto want = unfused_conv(f, cc, mode, shift, frac, beta);
-        for (bool scalar : {false, true}) {
-          if (!scalar && !avx2) continue;
-          ForceScalar forced(scalar);
+        for (GemmIsa isa : odenet::testing::kAllIsas) {
+          if (!gemm_isa_usable(isa)) continue;
+          IsaCap cap(isa);
           for (std::size_t workers : {1u, 2u, 4u}) {
             ou::ThreadPool pool(workers);
             PoolOverride ov(&pool, 1);
@@ -572,7 +568,7 @@ TEST(GemmInt16, FusedLoweredEpilogueMatchesUnfusedChainBitwise) {
             ASSERT_EQ(got.size(), want.size());
             EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
                                      want.size() * sizeof(float)))
-                << (scalar ? "scalar" : "avx2") << " workers=" << workers;
+                << gemm_isa_name() << " workers=" << workers;
           }
         }
       }
@@ -585,7 +581,7 @@ TEST(GemmInt16, FusedEpilogueTileIsIsaBitwiseOnRailAccumulators) {
   // Accumulators at the int32 rails through every epilogue stage: the
   // AVX2 tile (integer-domain requant, float-domain Q-grid rounding) and
   // the scalar tile (int64 and double domains) agree bitwise.
-  if (!gemm_avx2_usable()) {
+  if (!gemm_isa_usable(GemmIsa::kAvx2)) {
     GTEST_SKIP() << "AVX2+FMA kernels not usable on this host";
   }
   const int kp = 1;
@@ -622,7 +618,7 @@ TEST(GemmInt16, FusedEpilogueTileIsIsaBitwiseOnRailAccumulators) {
             scale4, shift4, residual.data(), kGemmTileCols, shift, frac,
             relu, 0.5f);
         {
-          ForceScalar forced(true);
+          IsaCap cap(GemmIsa::kScalar);
           active_gemm_kernels().tile4x16_i16_ep(
               apanel.data(), bpanel.data(), kp, sca.data(), kGemmTileCols,
               scale4, shift4, residual.data(), kGemmTileCols, shift, frac,
@@ -631,6 +627,130 @@ TEST(GemmInt16, FusedEpilogueTileIsIsaBitwiseOnRailAccumulators) {
         EXPECT_EQ(0, std::memcmp(vec.data(), sca.data(),
                                  vec.size() * sizeof(float)))
             << "frac=" << frac << " shift=" << shift << " relu=" << relu;
+      }
+    }
+  }
+}
+
+namespace {
+
+/// Uniform over the whole int16 range, rails included.
+std::vector<std::int16_t> full_range_i16(std::size_t n, ou::Rng& rng) {
+  std::vector<std::int16_t> v(n);
+  for (auto& x : v) {
+    x = static_cast<std::int16_t>(static_cast<int>(rng.uniform_int(65536)) -
+                                  32768);
+  }
+  const std::int16_t rails[] = {32767, -32768, -32767, 0};
+  for (std::size_t i = 0; i < n && i < 4; ++i) v[i * 7 % n] = rails[i];
+  return v;
+}
+
+}  // namespace
+
+TEST(GemmInt16, Avx512TilesMatchAvx2OnFullInt16Range) {
+  // The VNNI 16-row tiles against the AVX2 table's four madd 4x16 tiles
+  // on full-range operands (lanes wrap mod 2^32; both must wrap alike),
+  // plain, accumulating, and through every fixed-point epilogue stage
+  // with special residuals, the residual aliasing C included.
+  const std::string skip = odenet::testing::avx512_skip_reason();
+  if (!skip.empty()) GTEST_SKIP() << skip;
+  ou::Rng rng(42);
+  constexpr std::size_t ldc = 19;
+  const float inf = std::numeric_limits<float>::infinity();
+  for (int kp : {1, 3, 293}) {
+    SCOPED_TRACE("kpairs=" + std::to_string(kp));
+    const auto apanel = full_range_i16(
+        static_cast<std::size_t>(kp) * kGemmGroupRows * 2, rng);
+    const auto bpanel = full_range_i16(
+        static_cast<std::size_t>(kp) * kGemmTileCols * 2, rng);
+    std::vector<std::int32_t> init32(kGemmGroupRows * ldc);
+    for (auto& v : init32) {
+      v = static_cast<std::int32_t>(rng.uniform_int(1ull << 32));
+    }
+    for (bool accumulate : {false, true}) {
+      odenet::testing::expect_avx512_matches_avx2(
+          [&] {
+            std::vector<std::int32_t> c = init32;
+            active_gemm_kernels().tile16x16_i16(apanel.data(), bpanel.data(),
+                                                kp, c.data(), ldc,
+                                                accumulate);
+            return c;
+          },
+          accumulate ? "tile16x16_i16 accumulate" : "tile16x16_i16");
+    }
+    std::vector<float> residual(kGemmGroupRows * ldc);
+    for (auto& v : residual) v = static_cast<float>(rng.normal(0.0, 500.0));
+    const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                              inf, -inf, 1e38f, -1e38f, 2047.9999f,
+                              -2048.0f, 0.5f / 4096.0f, -1.5f / 4096.0f,
+                              -0.0f, 16777217.0f};
+    for (std::size_t i = 0; i < std::size(specials); ++i) {
+      residual[i * 13 % residual.size()] = specials[i];
+    }
+    std::vector<float> coeffs(2 * kGemmGroupRows);
+    for (auto& v : coeffs) v = static_cast<float>(rng.normal(0.0, 40.0));
+    for (int frac : {12, 20, 30}) {
+      for (int shift : {0, 7, 20}) {
+        for (int mask = 0; mask < 8; ++mask) {
+          const bool affine = (mask & 1) != 0, relu = (mask & 2) != 0;
+          const bool aliased = (mask & 4) != 0;
+          odenet::testing::expect_avx512_matches_avx2(
+              [&] {
+                std::vector<float> c = residual;
+                active_gemm_kernels().tile16x16_i16_ep(
+                    apanel.data(), bpanel.data(), kp, c.data(), ldc,
+                    affine ? coeffs.data() : nullptr,
+                    affine ? coeffs.data() + kGemmGroupRows : nullptr,
+                    aliased ? c.data() : residual.data(), ldc, shift, frac,
+                    relu, 0.25f);
+                return c;
+              },
+              "tile16x16_i16_ep frac=" + std::to_string(frac) +
+                  " shift=" + std::to_string(shift) +
+                  " mask=" + std::to_string(mask));
+          odenet::testing::expect_avx512_matches_avx2(
+              [&] {
+                std::vector<float> c(residual.size(), -5.0f);
+                active_gemm_kernels().tile16x16_i16_ep(
+                    apanel.data(), bpanel.data(), kp, c.data(), ldc,
+                    affine ? coeffs.data() : nullptr,
+                    affine ? coeffs.data() + kGemmGroupRows : nullptr,
+                    nullptr, ldc, shift, frac, relu, 1.0f);
+                return c;
+              },
+              "tile16x16_i16_ep no residual");
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmInt16, Avx512FusedConvMatchesAvx2Bitwise) {
+  // gemm_i16_lowered_ep with m covering whole 16-row groups, a lone
+  // 4-row remainder and ragged rows; stride 1 with 64-px planes (windows
+  // inside one sample) and 36-px planes (windows straddling samples), and
+  // stride 2; the conv1 epilogue and the in-place Euler update (residual
+  // aliasing the output); 1, 2 and 4 workers on the split path.
+  const std::string skip = odenet::testing::avx512_skip_reason();
+  if (!skip.empty()) GTEST_SKIP() << skip;
+  ou::Rng rng(43);
+  for (int m : {4, 8, 12, 16, 20, 64, 100}) {
+    for (ConvCase cc : {ConvCase{3, 4, 8, 8, 3, 1, 1, 0, true},
+                        ConvCase{3, 3, 6, 6, 3, 1, 1, 0, false},
+                        ConvCase{2, 3, 12, 12, 3, 2, 1, 0, true}}) {
+      cc.m = m;
+      SCOPED_TRACE(cc.str());
+      ConvFixture f(cc, rng);
+      for (EpMode mode : {EpMode::kConv1, EpMode::kEuler}) {
+        for (std::size_t workers : {1u, 2u, 4u}) {
+          ou::ThreadPool pool(workers);
+          PoolOverride ov(&pool, 1);
+          odenet::testing::expect_avx512_matches_avx2(
+              [&] { return fused_conv(f, cc, mode, 10, 20, 0.3f); },
+              "mode=" + std::to_string(static_cast<int>(mode)) +
+                  " workers=" + std::to_string(workers));
+        }
       }
     }
   }

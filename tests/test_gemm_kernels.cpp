@@ -3,7 +3,9 @@
 //  * every tiled GEMM entry point against a double-accumulation reference
 //    across a geometry sweep that exercises full tiles and ragged edges;
 //  * ISA parity — the AVX2 kernels against the scalar fallback on the
-//    same inputs (skipped on hosts without usable AVX2+FMA);
+//    same inputs (skipped on hosts without usable AVX2+FMA), and the
+//    AVX-512 16-row tiles and every float driver memcmp-equal to AVX2
+//    (skipped on hosts without usable AVX-512);
 //  * thread-count invariance — the panel split never changes any tile's
 //    summation order, so results are BITWISE equal across pool sizes;
 //  * the once-per-version weight-packing caches of Conv2d and Linear
@@ -13,7 +15,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -22,11 +26,13 @@
 #include "core/im2col.hpp"
 #include "core/init.hpp"
 #include "core/linear.hpp"
+#include "isa_tiers.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace odenet::core;
 namespace ou = odenet::util;
+using odenet::testing::IsaCap;
 
 namespace {
 
@@ -127,12 +133,6 @@ void run_all_tiled(const Shape& s, ou::Rng& rng) {
   EXPECT_LE(max_abs_diff(acc, want_acc), tol) << "gemm_tiled_pb accumulate";
 }
 
-/// RAII scalar-forcing so a failing EXPECT cannot leak the override.
-struct ForceScalar {
-  explicit ForceScalar(bool on) { gemm_force_scalar(on); }
-  ~ForceScalar() { gemm_force_scalar(false); }
-};
-
 /// RAII kernel-pool + parallel-threshold override.
 struct PoolOverride {
   explicit PoolOverride(ou::ThreadPool* pool, std::size_t min_flops) {
@@ -151,15 +151,32 @@ TEST(GemmKernels, DispatchIsConsistent) {
   const GemmKernels& k = active_gemm_kernels();
   ASSERT_NE(k.tile4x16, nullptr);
   ASSERT_NE(k.dot, nullptr);
+  ASSERT_NE(k.tile16x16, nullptr);
+  ASSERT_NE(k.tile16x16_ep, nullptr);
+  ASSERT_NE(k.tile16x16_i16, nullptr);
+  ASSERT_NE(k.tile16x16_i16_ep, nullptr);
   EXPECT_STREQ(k.isa, gemm_isa_name());
-  if (gemm_avx2_usable()) {
-    EXPECT_TRUE(gemm_avx2_compiled());
+  // Printed so a CI log shows which tier the suites ran on.
+  std::printf("dispatched ISA: %s\n", gemm_isa_name());
+  EXPECT_TRUE(gemm_isa_usable(GemmIsa::kScalar));
+  // No cap by default; gemm_cap_isa returns the cap it replaces.
+  EXPECT_EQ(gemm_cap_isa(GemmIsa::kAvx512), GemmIsa::kAvx512);
+  if (gemm_isa_usable(GemmIsa::kAvx512)) {
+    EXPECT_TRUE(gemm_isa_usable(GemmIsa::kAvx2));
+    EXPECT_STREQ(gemm_isa_name(), "avx512");
+  } else if (gemm_isa_usable(GemmIsa::kAvx2)) {
     EXPECT_STREQ(gemm_isa_name(), "avx2+fma");
   } else {
     EXPECT_STREQ(gemm_isa_name(), "scalar");
   }
-  ForceScalar forced(true);
-  EXPECT_TRUE(gemm_forced_scalar());
+  {
+    IsaCap cap(GemmIsa::kAvx2);
+    EXPECT_EQ(gemm_cap_isa(GemmIsa::kAvx2), GemmIsa::kAvx2);
+    EXPECT_STREQ(gemm_isa_name(), gemm_isa_usable(GemmIsa::kAvx2)
+                                      ? "avx2+fma"
+                                      : "scalar");
+  }
+  IsaCap cap(GemmIsa::kScalar);
   EXPECT_STREQ(gemm_isa_name(), "scalar");
 }
 
@@ -169,13 +186,13 @@ TEST(GemmKernels, TiledVariantsMatchReferenceAcrossGeometries) {
 }
 
 TEST(GemmKernels, ScalarFallbackMatchesReferenceAcrossGeometries) {
-  ForceScalar forced(true);
+  IsaCap cap(GemmIsa::kScalar);
   ou::Rng rng(8);
   for (const Shape& s : kShapes) run_all_tiled(s, rng);
 }
 
 TEST(GemmKernels, IsaParityAvx2VsScalar) {
-  if (!gemm_avx2_usable()) {
+  if (!gemm_isa_usable(GemmIsa::kAvx2)) {
     GTEST_SKIP() << "AVX2+FMA kernels not usable on this host";
   }
   ou::Rng rng(9);
@@ -190,17 +207,106 @@ TEST(GemmKernels, IsaParityAvx2VsScalar) {
     std::vector<float> vec(cn), sca(cn);
     gemm_tiled(a.data(), b.data(), vec.data(), s.m, s.k, s.n, false);
     {
-      ForceScalar forced(true);
+      IsaCap cap(GemmIsa::kScalar);
       gemm_tiled(a.data(), b.data(), sca.data(), s.m, s.k, s.n, false);
     }
     EXPECT_LE(max_abs_diff(vec, sca), tol) << "gemm_tiled isa parity";
 
     gemm_bt_tiled(a.data(), bt.data(), vec.data(), s.m, s.k, s.n, false);
     {
-      ForceScalar forced(true);
+      IsaCap cap(GemmIsa::kScalar);
       gemm_bt_tiled(a.data(), bt.data(), sca.data(), s.m, s.k, s.n, false);
     }
     EXPECT_LE(max_abs_diff(vec, sca), tol) << "gemm_bt_tiled isa parity";
+  }
+}
+
+TEST(GemmKernels, Avx512TilesMatchAvx2Bitwise) {
+  // The 16-row float tiles against the AVX2 table's four 4x16 tiles on
+  // the same packed panels: plain, accumulating, and every epilogue stage
+  // (with NaN/inf/-0 residuals and the residual aliasing C).
+  const std::string skip = odenet::testing::avx512_skip_reason();
+  if (!skip.empty()) GTEST_SKIP() << skip;
+  ou::Rng rng(12);
+  constexpr std::size_t ldc = 21;  // a window inside a wider matrix
+  for (int k : {1, 2, 7, 64, 585}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    const auto apanel = random_matrix(kGemmGroupRows, k, rng);
+    const auto bpanel = random_matrix(k, kGemmTileCols, rng);
+    auto init = random_matrix(kGemmGroupRows, static_cast<int>(ldc), rng);
+    init[3] = std::numeric_limits<float>::quiet_NaN();
+    init[40] = std::numeric_limits<float>::infinity();
+    init[77] = -0.0f;
+    const auto coeffs = random_matrix(2, kGemmGroupRows, rng);
+    for (bool accumulate : {false, true}) {
+      odenet::testing::expect_avx512_matches_avx2(
+          [&] {
+            std::vector<float> c = init;
+            active_gemm_kernels().tile16x16(apanel.data(), bpanel.data(), k,
+                                            c.data(), ldc, accumulate);
+            return c;
+          },
+          accumulate ? "tile16x16 accumulate" : "tile16x16");
+    }
+    for (int mask = 0; mask < 16; ++mask) {
+      const bool affine = (mask & 1) != 0, relu = (mask & 2) != 0;
+      const bool residual = (mask & 4) != 0, aliased = (mask & 8) != 0;
+      if (aliased && !residual) continue;
+      odenet::testing::expect_avx512_matches_avx2(
+          [&] {
+            std::vector<float> c = init;
+            const std::vector<float> r = init;
+            active_gemm_kernels().tile16x16_ep(
+                apanel.data(), bpanel.data(), k, c.data(), ldc,
+                affine ? coeffs.data() : nullptr,
+                affine ? coeffs.data() + kGemmGroupRows : nullptr, relu,
+                residual ? (aliased ? c.data() : r.data()) : nullptr, ldc,
+                0.375f);
+            return c;
+          },
+          "tile16x16_ep mask=" + std::to_string(mask));
+    }
+  }
+}
+
+TEST(GemmKernels, Avx512DriversMatchAvx2Bitwise) {
+  // gemm_tiled and gemm_tiled_pb, plain and accumulating, with m covering
+  // whole 16-row groups, a lone 4-row remainder and ragged rows, ragged n
+  // and panel edges, at 1, 2 and 4 workers on the split path.
+  const std::string skip = odenet::testing::avx512_skip_reason();
+  if (!skip.empty()) GTEST_SKIP() << skip;
+  ou::Rng rng(13);
+  for (int m : {4, 8, 12, 16, 20, 64, 100}) {
+    for (int n : {1, 17, 100, 257}) {
+      const int k = 36;
+      SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n));
+      const auto a = random_matrix(m, k, rng);
+      const auto b = random_matrix(k, n, rng);
+      const auto init = random_matrix(m, n, rng);
+      PackedGemmB pb;
+      pack_gemm_b_nt(transpose(b, k, n).data(), k, n, pb);
+      for (std::size_t workers : {1u, 2u, 4u}) {
+        ou::ThreadPool pool(workers);
+        PoolOverride ov(&pool, 1);
+        odenet::testing::expect_avx512_matches_avx2(
+            [&] {
+              std::vector<float> out, c(init.size());
+              auto keep = [&] { out.insert(out.end(), c.begin(), c.end()); };
+              gemm_tiled(a.data(), b.data(), c.data(), m, k, n, false);
+              keep();
+              c = init;
+              gemm_tiled(a.data(), b.data(), c.data(), m, k, n, true);
+              keep();
+              gemm_tiled_pb(a.data(), pb, c.data(), m, false);
+              keep();
+              c = init;
+              gemm_tiled_pb(a.data(), pb, c.data(), m, true);
+              keep();
+              return out;
+            },
+            "workers=" + std::to_string(workers));
+      }
+    }
   }
 }
 

@@ -127,10 +127,11 @@ TEST(SystemSim, FpgaExecutorMatchesReferenceBitwise) {
                   static_cast<float>(spec.executions);
   const std::size_t per_image = static_cast<std::size_t>(c) * s * s;
   for (bool scalar : {true, false}) {
-    core::gemm_force_scalar(scalar);
+    core::gemm_cap_isa(scalar ? core::GemmIsa::kScalar
+                       : core::GemmIsa::kAvx512);
     core::StageRunStats stats;
     const core::Tensor got = exec.run(stage, x, &stats);
-    core::gemm_force_scalar(false);
+    core::gemm_cap_isa(core::GemmIsa::kAvx512);
     EXPECT_GT(stats.pl_cycles, 0u);
     for (int b = 0; b < 3; ++b) {
       core::Tensor zi({1, c, s, s});
