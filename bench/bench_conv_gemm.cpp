@@ -13,10 +13,12 @@
 //     (ConvAlgo::kIm2col, the default).
 // Forward is timed in eval mode, forward+backward in training mode.
 //
-// Four A/B sections follow the algorithm grid, all at batch 16:
-//   * bwd     — batched vs direct forward+backward in training mode: the
-//     median of nine interleaved pairs of >= 20 ms trials (gated in the
-//     summary row as batched_bwd_speedup_b16);
+// Five A/B sections follow the algorithm grid, all at batch 16:
+//   * fwd     — batched vs direct forward in eval mode: the median of nine
+//     interleaved pairs of >= 20 ms trials (gated in the summary row as
+//     batched_fwd_speedup_b16);
+//   * bwd     — batched vs direct forward+backward in training mode, the
+//     same way (gated as batched_bwd_speedup_b16);
 //   * simd    — the active micro-kernel ISA vs the scalar fallback
 //     (gemm_cap_isa(GemmIsa::kScalar)), isolating the SIMD win;
 //   * fused   — conv+BN+ReLU as one GEMM with the epilogue in the output
@@ -234,7 +236,6 @@ int main(int argc, char** argv) {
               "reps", "fwd_sec", "fwd_img/s", "fwd+bwd_sec", "speedup",
               "scratch_floats");
 
-  double speedup_b16 = 0.0;
   for (int batch : {1, 4, 16, 64}) {
     const int reps = reps_opt > 0 ? reps_opt : std::max(4, 96 / batch);
     Tensor x = random_tensor({batch, channels, size, size}, rng);
@@ -244,9 +245,6 @@ int main(int argc, char** argv) {
       Row row = run_algo(algo, weights, x, gout, reps);
       if (algo == ConvAlgo::kDirect) direct_fwd = row.fwd_seconds;
       row.fwd_speedup = direct_fwd / row.fwd_seconds;
-      if (algo == ConvAlgo::kIm2col && batch == 16) {
-        speedup_b16 = row.fwd_speedup;
-      }
       print_row(row);
     }
   }
@@ -284,6 +282,37 @@ int main(int argc, char** argv) {
   const int ab_batch = 16;
   const int ab_reps = reps_opt > 0 ? reps_opt : 12;
   Tensor x16 = random_tensor({ab_batch, channels, size, size}, rng);
+
+  // --- forward A/B: batched vs direct eval forward, batch 16 -----------
+  const std::unique_ptr<Conv2d> batched_eval =
+      make_conv(ConvAlgo::kIm2col, weights);
+  const std::unique_ptr<Conv2d> direct_eval =
+      make_conv(ConvAlgo::kDirect, weights);
+  for (Conv2d* conv : {batched_eval.get(), direct_eval.get()}) {
+    conv->set_training(false);
+    (void)conv->forward(x16);  // warm-up: packed weights, first-touch pages
+  }
+  const PairAb fwd = interleave([&] { (void)batched_eval->forward(x16); },
+                                [&] { (void)direct_eval->forward(x16); });
+  const double fwd_speedup_b16 = median(fwd.ratios);
+  std::printf("\n--- batched vs direct fwd A/B (eval, batch %d, median of %d "
+              "pairs) ---\n",
+              ab_batch, kPairTrials);
+  std::printf("%-11s %12.6f s\n%-11s %12.6f s  (%.2fx batched, IQR "
+              "%.2f-%.2f)\n",
+              "batched", median(fwd.a_trials), "direct",
+              median(fwd.b_trials), fwd_speedup_b16,
+              util::quantile(fwd.ratios, 0.25),
+              util::quantile(fwd.ratios, 0.75));
+  std::printf("JSON {\"bench\":\"conv_gemm\",\"fwd_ab\":true,\"batch\":%d,"
+              "\"trials\":%d,\"trial_seconds\":%.3f,"
+              "\"batched_fwd_seconds\":%.6f,\"direct_fwd_seconds\":%.6f,"
+              "\"batched_fwd_speedup\":%.4f,"
+              "\"speedup_q1\":%.4f,\"speedup_q3\":%.4f}\n",
+              ab_batch, kPairTrials, kTrialSeconds, median(fwd.a_trials),
+              median(fwd.b_trials), fwd_speedup_b16,
+              util::quantile(fwd.ratios, 0.25),
+              util::quantile(fwd.ratios, 0.75));
 
   // --- backward A/B: batched vs direct forward+backward, batch 16 -------
   const Tensor gout16 = random_tensor({ab_batch, channels, size, size}, rng);
@@ -392,8 +421,8 @@ int main(int argc, char** argv) {
               "\"simd_speedup_b16\":%.4f,"
               "\"fused_conv_bn_relu_speedup\":%.4f,"
               "\"meets_1p5x\":%s}\n",
-              channels, size, core::gemm_isa_name(), speedup_b16,
+              channels, size, core::gemm_isa_name(), fwd_speedup_b16,
               bwd_speedup_b16, simd_speedup, fused_speedup,
-              speedup_b16 >= 1.5 ? "true" : "false");
+              fwd_speedup_b16 >= 1.5 ? "true" : "false");
   return 0;
 }

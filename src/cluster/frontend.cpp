@@ -73,9 +73,6 @@ struct SocketFrontend::Connection {
 
   struct PendingReply {
     std::uint64_t id = 0;
-    /// Wire version of the request — the response echoes it so a v1
-    /// client never sees v2 bytes.
-    std::uint8_t version = 2;
     std::size_t shard = kNoShard;
     std::future<runtime::InferenceResult> future;
   };
@@ -211,7 +208,6 @@ void SocketFrontend::reader_loop(Connection& conn) {
       std::size_t shard = kNoShard;
       Connection::PendingReply reply;
       reply.id = wire.id;
-      reply.version = wire.version;
       reply.future = cluster_.submit(std::move(image), opts, &shard);
       reply.shard = shard;
       {
@@ -260,7 +256,6 @@ void SocketFrontend::writer_loop(Connection& conn) {
 
     WireResponse res;
     res.id = reply.id;
-    res.version = reply.version;
     res.shard = reply.shard == kNoShard
                     ? kNoShardByte
                     : static_cast<std::uint8_t>(reply.shard);

@@ -132,9 +132,6 @@ std::uint32_t decode_frame_length(const std::uint8_t* header) {
 }
 
 std::vector<std::uint8_t> encode_request(const WireRequest& req) {
-  ODENET_CHECK(req.version == 1 || req.version == 2,
-               "unknown request wire version "
-                   << static_cast<int>(req.version));
   const std::size_t n = static_cast<std::size_t>(req.channels) * req.height *
                         req.width;
   ODENET_CHECK(req.pixels.size() == n,
@@ -145,33 +142,23 @@ std::vector<std::uint8_t> encode_request(const WireRequest& req) {
   ODENET_CHECK(req.tenant.size() <= 0xFFFF,
                "tenant id longer than the u16 wire field: "
                    << req.tenant.size() << " bytes");
-  if (req.version == 1) {
-    // v1 has no model fields; silently dropping them would mis-serve.
-    ODENET_CHECK(req.model.empty() && req.model_version == 0,
-                 "model ref ('" << req.model << "' @" << req.model_version
-                                << ") cannot be encoded in a v1 frame");
-  }
   ODENET_CHECK(req.model.size() <= 0xFFFF,
                "model name longer than the u16 wire field: "
                    << req.model.size() << " bytes");
   std::vector<std::uint8_t> frame(kFrameHeaderBytes, 0);
-  put_u32(frame, req.version == 1 ? kRequestMagic : kRequestMagicV2);
+  put_u32(frame, kRequestMagicV2);
   put_u64(frame, req.id);
   frame.push_back(static_cast<std::uint8_t>(req.priority));
   frame.push_back(req.evictable ? 1 : 0);
   put_u32(frame, req.deadline_us);
-  if (req.version == 2) put_u64(frame, req.model_version);
+  put_u64(frame, req.model_version);
   put_u16(frame, static_cast<std::uint16_t>(req.tenant.size()));
-  if (req.version == 2) {
-    put_u16(frame, static_cast<std::uint16_t>(req.model.size()));
-  }
+  put_u16(frame, static_cast<std::uint16_t>(req.model.size()));
   put_u16(frame, req.channels);
   put_u16(frame, req.height);
   put_u16(frame, req.width);
   frame.insert(frame.end(), req.tenant.begin(), req.tenant.end());
-  if (req.version == 2) {
-    frame.insert(frame.end(), req.model.begin(), req.model.end());
-  }
+  frame.insert(frame.end(), req.model.begin(), req.model.end());
   for (float p : req.pixels) put_f32(frame, p);
   seal_frame(frame);
   return frame;
@@ -180,10 +167,9 @@ std::vector<std::uint8_t> encode_request(const WireRequest& req) {
 WireRequest decode_request(const std::uint8_t* payload, std::size_t size) {
   Reader r{payload, size, 0, "request"};
   const std::uint32_t magic = r.u32();
-  ODENET_CHECK(magic == kRequestMagic || magic == kRequestMagicV2,
+  ODENET_CHECK(magic == kRequestMagicV2,
                "bad request magic 0x" << std::hex << magic);
   WireRequest req;
-  req.version = magic == kRequestMagic ? 1 : 2;
   req.id = r.u64();
   const std::uint8_t priority = r.u8();
   ODENET_CHECK(priority < runtime::kPriorityLevels,
@@ -192,9 +178,9 @@ WireRequest decode_request(const std::uint8_t* payload, std::size_t size) {
   req.priority = static_cast<runtime::Priority>(priority);
   req.evictable = (r.u8() & 1) != 0;
   req.deadline_us = r.u32();
-  if (req.version == 2) req.model_version = r.u64();
+  req.model_version = r.u64();
   const std::uint16_t tenant_len = r.u16();
-  const std::uint16_t model_len = req.version == 2 ? r.u16() : 0;
+  const std::uint16_t model_len = r.u16();
   req.channels = r.u16();
   req.height = r.u16();
   req.width = r.u16();
@@ -209,22 +195,19 @@ WireRequest decode_request(const std::uint8_t* payload, std::size_t size) {
 }
 
 std::vector<std::uint8_t> encode_response(const WireResponse& res) {
-  ODENET_CHECK(res.version == 1 || res.version == 2,
-               "unknown response wire version "
-                   << static_cast<int>(res.version));
   ODENET_CHECK(res.logits.size() <= 0xFFFF,
                "logits longer than the u16 wire field: " << res.logits.size());
   ODENET_CHECK(res.message.size() <= 0xFFFF,
                "message longer than the u16 wire field: "
                    << res.message.size());
   std::vector<std::uint8_t> frame(kFrameHeaderBytes, 0);
-  put_u32(frame, res.version == 1 ? kResponseMagic : kResponseMagicV2);
+  put_u32(frame, kResponseMagicV2);
   put_u64(frame, res.id);
   frame.push_back(static_cast<std::uint8_t>(res.status));
   frame.push_back(res.shard);
   put_u32(frame, static_cast<std::uint32_t>(res.predicted));
   put_f32(frame, res.latency_ms);
-  if (res.version == 2) put_u64(frame, res.model_version);
+  put_u64(frame, res.model_version);
   put_u16(frame, static_cast<std::uint16_t>(res.logits.size()));
   put_u16(frame, static_cast<std::uint16_t>(res.message.size()));
   for (float l : res.logits) put_f32(frame, l);
@@ -236,10 +219,9 @@ std::vector<std::uint8_t> encode_response(const WireResponse& res) {
 WireResponse decode_response(const std::uint8_t* payload, std::size_t size) {
   Reader r{payload, size, 0, "response"};
   const std::uint32_t magic = r.u32();
-  ODENET_CHECK(magic == kResponseMagic || magic == kResponseMagicV2,
+  ODENET_CHECK(magic == kResponseMagicV2,
                "bad response magic 0x" << std::hex << magic);
   WireResponse res;
-  res.version = magic == kResponseMagic ? 1 : 2;
   res.id = r.u64();
   const std::uint8_t status = r.u8();
   ODENET_CHECK(status <= static_cast<std::uint8_t>(ResponseStatus::kError),
@@ -249,7 +231,7 @@ WireResponse decode_response(const std::uint8_t* payload, std::size_t size) {
   res.shard = r.u8();
   res.predicted = static_cast<std::int32_t>(r.u32());
   res.latency_ms = r.f32();
-  if (res.version == 2) res.model_version = r.u64();
+  res.model_version = r.u64();
   const std::uint16_t logits_n = r.u16();
   const std::uint16_t message_len = r.u16();
   res.logits = r.floats(logits_n);

@@ -1,36 +1,25 @@
 // Wire protocol of the cluster socket front-end.
 //
-// Length-prefixed binary frames, little-endian throughout. Two request
-// versions share the framing; the magic selects the layout:
+// Length-prefixed binary frames, little-endian throughout:
 //
-//   frame      := u32 payload_length | payload
-//   request v1 := u32 magic "QNDO" | u64 request_id | u8 priority
-//               | u8 flags (bit0: evictable) | u32 deadline_us (0 = none)
-//               | u16 tenant_len | u16 channels | u16 height | u16 width
-//               | tenant bytes | f32 * (channels*height*width) pixels
-//   request v2 := u32 magic "ODN2" | u64 request_id | u8 priority
-//               | u8 flags (bit0: evictable) | u32 deadline_us (0 = none)
-//               | u64 model_version (0 = whatever is active)
-//               | u16 tenant_len | u16 model_len
-//               | u16 channels | u16 height | u16 width
-//               | tenant bytes | model bytes | f32 * (c*h*w) pixels
-//   response v1 := u32 magic "RNDO" | u64 request_id | u8 status
-//               | u8 shard | i32 predicted | f32 latency_ms
-//               | u16 logits_n | u16 message_len
-//               | f32 * logits_n | message bytes
-//   response v2 := u32 magic "ODR2" | ...same as v1 up to latency_ms...
-//               | u64 model_version (version that served the request)
-//               | u16 logits_n | u16 message_len
-//               | f32 * logits_n | message bytes
+//   frame    := u32 payload_length | payload
+//   request  := u32 magic "ODN2" | u64 request_id | u8 priority
+//             | u8 flags (bit0: evictable) | u32 deadline_us (0 = none)
+//             | u64 model_version (0 = whatever is active)
+//             | u16 tenant_len | u16 model_len
+//             | u16 channels | u16 height | u16 width
+//             | tenant bytes | model bytes | f32 * (c*h*w) pixels
+//   response := u32 magic "ODR2" | u64 request_id | u8 status
+//             | u8 shard | i32 predicted | f32 latency_ms
+//             | u64 model_version (version that served the request)
+//             | u16 logits_n | u16 message_len
+//             | f32 * logits_n | message bytes
 //
-// v2 adds the multi-tenant registry fields: the model name the request
-// targets (empty = the shard's configured model), an optional pinned
-// model_version, and — echoed in the response — the snapshot version
-// that actually served. Decoders accept BOTH versions by dispatching on
-// the magic (a v1 frame simply reads back with version=1 and empty model
-// fields); encoders emit the layout named by the struct's `version`
-// field, so an old client keeps working against a new server and the
-// tests can round-trip either format.
+// The request names the model it targets (empty = the shard's configured
+// model) and an optional pinned model_version; the response echoes the
+// snapshot version that actually served. This is the second layout of
+// the protocol; the first ("QNDO"/"RNDO", without the model fields) is
+// retired, so its frames fail the magic check like any other bad magic.
 //
 // request_id correlates responses with requests: the server echoes it
 // back verbatim, so a client may pipeline many requests per connection
@@ -58,8 +47,6 @@ inline constexpr std::size_t kFrameHeaderBytes = 4;
 /// errors, never allocation requests.
 inline constexpr std::size_t kMaxFramePayload = std::size_t{1} << 22;
 
-inline constexpr std::uint32_t kRequestMagic = 0x4F444E51u;   // "QNDO" LE
-inline constexpr std::uint32_t kResponseMagic = 0x4F444E52u;  // "RNDO" LE
 inline constexpr std::uint32_t kRequestMagicV2 = 0x324E444Fu;   // "ODN2" LE
 inline constexpr std::uint32_t kResponseMagicV2 = 0x3252444Fu;  // "ODR2" LE
 
@@ -80,9 +67,6 @@ std::string response_status_name(ResponseStatus status);
 inline constexpr std::uint8_t kNoShardByte = 0xFF;
 
 struct WireRequest {
-  /// Wire layout to encode (1 or 2); decode_request() sets it to the
-  /// version of the frame it parsed.
-  std::uint8_t version = 2;
   std::uint64_t id = 0;
   runtime::Priority priority = runtime::Priority::kNormal;
   bool evictable = true;
@@ -90,8 +74,8 @@ struct WireRequest {
   std::uint32_t deadline_us = 0;
   /// Placement key: requests of one tenant hash to one home shard.
   std::string tenant;
-  /// v2: model the request targets (empty = shard's configured model)
-  /// and an optional pinned snapshot version (0 = active).
+  /// Model the request targets (empty = shard's configured model) and an
+  /// optional pinned snapshot version (0 = active).
   std::string model;
   std::uint64_t model_version = 0;
   std::uint16_t channels = 0;
@@ -102,18 +86,13 @@ struct WireRequest {
 };
 
 struct WireResponse {
-  /// Wire layout to encode (1 or 2); decode_response() sets it to the
-  /// version of the frame it parsed. Servers echo the request's version
-  /// so v1 clients never see v2 bytes.
-  std::uint8_t version = 2;
   std::uint64_t id = 0;
   ResponseStatus status = ResponseStatus::kError;
   /// Index of the shard that served the request; kNoShardByte when none.
   std::uint8_t shard = kNoShardByte;
   std::int32_t predicted = -1;
   float latency_ms = 0.0f;
-  /// v2: snapshot version that served the request (0 when shed/error or
-  /// over a v1 frame).
+  /// Snapshot version that served the request (0 when shed/error).
   std::uint64_t model_version = 0;
   std::vector<float> logits;
   /// Human-readable failure detail (empty on kOk).

@@ -302,8 +302,9 @@ void Conv2d::backward_im2col(const Tensor& in, const Tensor& grad_out,
   const std::size_t ncols = cc * static_cast<std::size_t>(n);
 
   // One lowering of the whole batch drives BOTH gradients: dW from one
-  // tiled A*B^T product, the column gradient from one packed GEMM against
-  // a transposed weight view, each on the batched [kk, n*cc] layout. The
+  // A*B^T product, the column gradient from one GEMM against a transposed
+  // weight view, each on the batched [kk, n*cc] layout and on the same
+  // tiled driver as the forward. The
   // channel-major grad_out view ([co, n*cc]) the GEMMs need is the
   // [n, co, cc] tensor permuted; for n == 1 they coincide, so no copy.
   // All scratch is arena-recycled — training stops allocating in the
@@ -326,8 +327,9 @@ void Conv2d::backward_im2col(const Tensor& in, const Tensor& grad_out,
 
   im2col_batched(in.data(), g, n, cols);
   // dW[co, kk] += G[co, n*cc] x cols^T (cols stored [kk, n*cc]): an A*B^T
-  // of two row-major matrices with the long axis contiguous — the tiled NT
-  // kernel streams cols once per four output rows.
+  // of two row-major matrices with the long n*cc axis as the GEMM depth;
+  // each column panel of cols is packed once per task and swept by every
+  // 16-row tile of dW.
   gemm_bt_tiled(gperm, cols, weight_.grad.data(), co, static_cast<int>(ncols),
                 kk, /*accumulate=*/true);
   // grad_cols[kk, n*cc] = W^T[kk, co] x G[co, n*cc]. Materializing the

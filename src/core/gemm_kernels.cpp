@@ -7,7 +7,6 @@
 #include <cstring>
 
 #include "core/gemm_tile_stack.hpp"
-#include "util/check.hpp"
 #include "util/thread_pool.hpp"
 
 namespace odenet::core {
@@ -100,28 +99,6 @@ void tile4x16_ep_scalar(const float* apanel, const float* bpanel, int k,
       crow[j] = t;
     }
   }
-}
-
-/// Dot product over eight independent partial sums — the manual-unroll
-/// idiom the vectorizer turns into packed multiply-adds (a single
-/// accumulator cannot be vectorized under strict FP semantics).
-float dot_scalar(const float* x, const float* y, int k) {
-  float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-  float s4 = 0.0f, s5 = 0.0f, s6 = 0.0f, s7 = 0.0f;
-  int p = 0;
-  for (; p + 8 <= k; p += 8) {
-    s0 += x[p + 0] * y[p + 0];
-    s1 += x[p + 1] * y[p + 1];
-    s2 += x[p + 2] * y[p + 2];
-    s3 += x[p + 3] * y[p + 3];
-    s4 += x[p + 4] * y[p + 4];
-    s5 += x[p + 5] * y[p + 5];
-    s6 += x[p + 6] * y[p + 6];
-    s7 += x[p + 7] * y[p + 7];
-  }
-  float s = ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7));
-  for (; p < k; ++p) s += x[p] * y[p];
-  return s;
 }
 
 /// Scalar integer full-tile kernel over the pair-interleaved int16 panels.
@@ -335,8 +312,7 @@ void tile4x16_i16_ep_scalar(const std::int16_t* apanel,
   }
 }
 
-constexpr GemmKernels kScalarKernels{tile4x16_scalar,  dot_scalar,
-                                     tile4x16_i16_scalar,
+constexpr GemmKernels kScalarKernels{tile4x16_scalar, tile4x16_i16_scalar,
                                      tile4x16_i16_ep_scalar,
                                      detail::stack_tile<tile4x16_scalar>,
                                      detail::stack_tile_ep<tile4x16_ep_scalar>,
@@ -494,181 +470,6 @@ void set_kernel_pool(util::ThreadPool* pool) {
 util::ThreadPool& kernel_pool() {
   util::ThreadPool* pool = g_kernel_pool.load(std::memory_order_acquire);
   return pool != nullptr ? *pool : util::ThreadPool::global();
-}
-
-void pack_gemm_a_i16(const std::int16_t* a, int m, int k, PackedGemmA16& out) {
-  ODENET_CHECK(m >= 0 && k >= 0, "bad pack_gemm_a_i16 dimensions");
-  out.m = m;
-  out.k = k;
-  const int row_tiles = (m + kGemmTileRows - 1) / kGemmTileRows;
-  const int kp = (k + 1) / 2;
-  // assign() zero-fills, which doubles as the edge-row / odd-k padding.
-  out.data.assign(static_cast<std::size_t>(row_tiles) *
-                      static_cast<std::size_t>(std::max(kp, 1)) *
-                      kGemmTileRows * 2,
-                  0);
-  for (int t = 0; t < row_tiles; ++t) {
-    const int i0 = t * kGemmTileRows;
-    const int mr = std::min(kGemmTileRows, m - i0);
-    std::int16_t* panel =
-        out.data.data() + static_cast<std::size_t>(t) * kp * kGemmTileRows * 2;
-    for (int p = 0; p < kp; ++p) {
-      std::int16_t* dst = panel + static_cast<std::size_t>(p) * kGemmTileRows * 2;
-      for (int i = 0; i < mr; ++i) {
-        const std::int16_t* arow =
-            a + (i0 + i) * static_cast<std::size_t>(k);
-        dst[i * 2 + 0] = arow[2 * p];
-        if (2 * p + 1 < k) dst[i * 2 + 1] = arow[2 * p + 1];
-      }
-    }
-  }
-}
-
-void pack_gemm_b_i16(const std::int16_t* b, int k, int n, PackedGemmB16& out) {
-  ODENET_CHECK(k >= 0 && n >= 0, "bad pack_gemm_b_i16 dimensions");
-  out.k = k;
-  out.n = n;
-  const int col_tiles = (n + kGemmTileCols - 1) / kGemmTileCols;
-  const int kp = (k + 1) / 2;
-  out.data.assign(static_cast<std::size_t>(col_tiles) *
-                      static_cast<std::size_t>(std::max(kp, 1)) *
-                      kGemmTileCols * 2,
-                  0);
-  for (int t = 0; t < col_tiles; ++t) {
-    const int j0 = t * kGemmTileCols;
-    const int nr = std::min(kGemmTileCols, n - j0);
-    std::int16_t* panel =
-        out.data.data() + static_cast<std::size_t>(t) * kp * kGemmTileCols * 2;
-    for (int p = 0; p < kp; ++p) {
-      std::int16_t* dst = panel + static_cast<std::size_t>(p) * kGemmTileCols * 2;
-      const std::int16_t* brow0 = b + static_cast<std::size_t>(2 * p) * n + j0;
-      for (int j = 0; j < nr; ++j) dst[j * 2 + 0] = brow0[j];
-      if (2 * p + 1 < k) {
-        const std::int16_t* brow1 = brow0 + n;
-        for (int j = 0; j < nr; ++j) dst[j * 2 + 1] = brow1[j];
-      }
-    }
-  }
-}
-
-void gemm_i16_tiled_pa(const PackedGemmA16& a, const std::int16_t* b,
-                       std::int32_t* c, int n, bool accumulate) {
-  ODENET_CHECK(n >= 0, "bad gemm dimensions");
-  const int m = a.m, k = a.k;
-  if (m == 0 || n == 0) return;
-  const int kp = a.kpairs();
-  const GemmKernels& kernels = active_gemm_kernels();
-  // Same blocking constants as the tiled driver (im2col.cpp): 256 int16
-  // columns per B panel, >= 8 row tiles per extra m-split task.
-  constexpr int kPanelCols = 256;
-  constexpr int kMinRowTilesPerTask = 8;
-  const int panels = (n + kPanelCols - 1) / kPanelCols;
-  const int row_tiles = (m + kGemmTileRows - 1) / kGemmTileRows;
-
-  // One task = one column panel x one row-tile span; every output tile's
-  // k-loop is self-contained AND integer addition commutes mod 2^32, so
-  // any split (and any ISA) produces bitwise-identical C.
-  auto run_span = [&](int pi, int t0, int t1) {
-    const int p0 = pi * kPanelCols;
-    const int pn = std::min(kPanelCols, n - p0);
-    const int full_tiles = pn / kGemmTileCols;
-    // Pair-interleaved packing of the panel's full-width column tiles
-    // into storage this task owns (zero-filled, which pads the phantom
-    // odd-k tap): one sequential pass over B.
-    std::vector<std::int16_t> packed(
-        static_cast<std::size_t>(std::max(full_tiles, 1)) *
-        static_cast<std::size_t>(std::max(kp, 1)) * kGemmTileCols * 2);
-    for (int p = 0; p < kp; ++p) {
-      const std::int16_t* brow0 =
-          b + static_cast<std::size_t>(2 * p) * n + p0;
-      const std::int16_t* brow1 = 2 * p + 1 < k ? brow0 + n : nullptr;
-      for (int jt = 0; jt < full_tiles; ++jt) {
-        std::int16_t* dst =
-            packed.data() + (static_cast<std::size_t>(jt) * kp +
-                             static_cast<std::size_t>(p)) *
-                                kGemmTileCols * 2;
-        const std::int16_t* s0 = brow0 + jt * kGemmTileCols;
-        const std::int16_t* s1 =
-            brow1 != nullptr ? brow1 + jt * kGemmTileCols : nullptr;
-        for (int j = 0; j < kGemmTileCols; ++j) {
-          dst[j * 2 + 0] = s0[j];
-          if (s1 != nullptr) dst[j * 2 + 1] = s1[j];
-        }
-      }
-    }
-    for (int t = t0; t < t1; ++t) {
-      const int i0 = t * kGemmTileRows;
-      const int mr = std::min(kGemmTileRows, m - i0);
-      const std::int16_t* apanel =
-          a.data.data() +
-          static_cast<std::size_t>(t) * kp * kGemmTileRows * 2;
-      for (int jt = 0; jt < pn; jt += kGemmTileCols) {
-        const int j0 = p0 + jt;
-        const int nr = std::min(kGemmTileCols, pn - jt);
-        if (mr == kGemmTileRows && nr == kGemmTileCols) {
-          const std::int16_t* bp =
-              packed.data() + static_cast<std::size_t>(jt / kGemmTileCols) *
-                                  kp * kGemmTileCols * 2;
-          kernels.tile4x16_i16(apanel, bp, kp,
-                               c + (static_cast<std::size_t>(i0) * n + j0),
-                               static_cast<std::size_t>(n), accumulate);
-        } else {
-          // Ragged edge: scalar dot-pairs reading B in place, with the
-          // micro-kernel's exact wraparound semantics — ISA-independent,
-          // so edges never perturb the bitwise-parity guarantee.
-          for (int i = 0; i < mr; ++i) {
-            std::int32_t* crow =
-                c + (i0 + i) * static_cast<std::size_t>(n) + j0;
-            for (int j = 0; j < nr; ++j) {
-              std::uint32_t sum =
-                  accumulate ? static_cast<std::uint32_t>(crow[j]) : 0u;
-              const std::int16_t* bcol = b + j0 + j;
-              for (int p = 0; p < kp; ++p) {
-                const int a0 = apanel[p * kGemmTileRows * 2 + i * 2 + 0];
-                const int a1 = apanel[p * kGemmTileRows * 2 + i * 2 + 1];
-                const int b0 = bcol[static_cast<std::size_t>(2 * p) * n];
-                const int b1 =
-                    2 * p + 1 < k
-                        ? bcol[static_cast<std::size_t>(2 * p + 1) * n]
-                        : 0;
-                sum += static_cast<std::uint32_t>(a0 * b0) +
-                       static_cast<std::uint32_t>(a1 * b1);
-              }
-              crow[j] = static_cast<std::int32_t>(sum);
-            }
-          }
-        }
-      }
-    }
-  };
-
-  const std::size_t flops = 2ull * static_cast<std::size_t>(m) *
-                            static_cast<std::size_t>(k) *
-                            static_cast<std::size_t>(n);
-  util::ThreadPool& pool = kernel_pool();
-  const std::size_t workers = pool.worker_count();
-  if (flops < gemm_parallel_min_flops() || workers <= 1) {
-    for (int pi = 0; pi < panels; ++pi) run_span(pi, 0, row_tiles);
-    return;
-  }
-  int row_blocks = 1;
-  if (static_cast<std::size_t>(panels) < workers) {
-    const int max_blocks =
-        (row_tiles + kMinRowTilesPerTask - 1) / kMinRowTilesPerTask;
-    row_blocks = std::min<int>(
-        max_blocks, static_cast<int>((workers + panels - 1) /
-                                     static_cast<std::size_t>(panels)));
-    row_blocks = std::max(row_blocks, 1);
-  }
-  const int tiles_per_block = (row_tiles + row_blocks - 1) / row_blocks;
-  util::parallel_for(pool, 0, static_cast<std::size_t>(panels) * row_blocks,
-                     [&](std::size_t task) {
-                       const int pi = static_cast<int>(task) / row_blocks;
-                       const int rb = static_cast<int>(task) % row_blocks;
-                       const int t0 = rb * tiles_per_block;
-                       const int t1 = std::min(row_tiles, t0 + tiles_per_block);
-                       if (t0 < t1) run_span(pi, t0, t1);
-                     });
 }
 
 }  // namespace odenet::core

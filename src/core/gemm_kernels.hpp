@@ -3,9 +3,10 @@
 // holding the inner kernels every tiled GEMM in im2col.cpp is built from,
 // selected at runtime.
 //
-// Every kernel operates on PACKED panels (see PackedGemmA/PackedGemmB in
-// im2col.hpp) so all tiers share one data layout and one outer loop nest;
-// only the innermost arithmetic differs. The scalar kernels are the
+// Every kernel operates on PACKED panels (PackedGemmA/PackedGemmB and
+// their int16 twins in im2col.hpp, all written by one panel packer) so all
+// tiers share one data layout and one outer loop nest, the run_tiles
+// driver; only the innermost arithmetic differs. The scalar kernels are the
 // portable fallback — non-x86 targets, -mno-avx2 builds (cmake
 // -DODENET_DISABLE_AVX2=ON skips the SIMD translation units entirely) and
 // hosts without AVX2/FMA all run them, producing the same ascending-k
@@ -29,7 +30,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace odenet::util {
 class ThreadPool;
@@ -60,20 +60,17 @@ using GemmTile4x16Fn = void (*)(const float* apanel, const float* bpanel,
                                 int k, float* c, std::size_t ldc,
                                 bool accumulate);
 
-/// Dot product of two contiguous length-k vectors, computed over multiple
-/// independent partial sums (the gemm_bt_tiled inner op).
-using GemmDotFn = float (*)(const float* x, const float* y, int k);
-
 /// Integer full-tile micro-kernel: C[4][16] (+)= A16 * B16 with int16
 /// operands accumulated into int32. k is processed in PAIRS (the
 /// `_mm256_madd_epi16` dot-pair shape): `apanel` is a packed
 /// [kpairs][4][2] row panel, `bpanel` a packed [kpairs][16][2] column
-/// panel (see PackedGemmA16 / PackedGemmB16), both pair-interleaved and
-/// zero-padded to an even k. Accumulation is two's-complement wraparound
-/// (never saturating, never UB): integer addition is associative mod 2^32,
-/// so every ISA, k-order and thread split produces bitwise-identical C.
-/// Callers get *mathematically* exact sums by bounding |sum| < 2^31 — the
-/// fixed backend's per-conv weight-scale selection guarantees it.
+/// panel (see PackedGemmA16 / PackedGemmB16 in im2col.hpp), both
+/// pair-interleaved and zero-padded to an even k. Accumulation is two's-
+/// complement wraparound (never saturating, never UB): integer addition is
+/// associative mod 2^32, so every ISA, k-order and thread split produces
+/// bitwise-identical C. Callers get *mathematically* exact sums by
+/// bounding |sum| < 2^31 — the fixed backend's per-conv weight-scale
+/// selection guarantees it.
 using GemmTileI16Fn = void (*)(const std::int16_t* apanel,
                                const std::int16_t* bpanel, int kpairs,
                                std::int32_t* c, std::size_t ldc,
@@ -191,7 +188,6 @@ using AffineF32Fn = void (*)(const float* src, float* dst, std::size_t n,
 
 struct GemmKernels {
   GemmTile4x16Fn tile4x16;
-  GemmDotFn dot;
   GemmTileI16Fn tile4x16_i16;
   GemmTileI16Ep4x16Fn tile4x16_i16_ep;
   // The 16-row twins of tile4x16 / tile4x16_ep / tile4x16_i16 /
@@ -256,54 +252,6 @@ void gemm_set_parallel_min_flops(std::size_t flops);
 /// call made while it is installed.
 void set_kernel_pool(util::ThreadPool* pool);
 util::ThreadPool& kernel_pool();
-
-/// An int16 [m,k] matrix repacked into the pair-interleaved row-panel
-/// layout the integer micro-kernel consumes: [ceil(m/4)] panels of
-/// [kpairs][4][2], where panel t holds rows 4t..4t+3 and entry
-/// [p][i][s] = A[4t+i][2p+s]. The [2] pair axis is innermost so one 32-bit
-/// broadcast yields a row's (even, odd) k-pair for `_mm256_madd_epi16`.
-/// Edge rows past m and the phantom odd-k tap are zero-padded. This is the
-/// once-per-layer packed-weight format the fixed backend caches.
-struct PackedGemmA16 {
-  std::vector<std::int16_t> data;
-  int m = 0;
-  int k = 0;  // logical (un-padded) depth
-
-  int kpairs() const { return (k + 1) / 2; }
-  bool empty() const { return m == 0 || k == 0; }
-};
-
-/// Packs row-major A[m,k] int16 into `out` (storage recycled across calls).
-void pack_gemm_a_i16(const std::int16_t* a, int m, int k, PackedGemmA16& out);
-
-/// An int16 B[k,n] matrix repacked into the pair-interleaved column-panel
-/// layout: [ceil(n/16)] panels of [kpairs][16][2], entry [p][j][s] =
-/// B[2p+s][16t+j], edge columns and the phantom odd-k tap zero-padded. One
-/// 256-bit load covers 8 columns' k-pairs. gemm_i16_tiled_pa builds this
-/// layout per column panel internally; the standalone pack exists for the
-/// kernel parity tests and callers with a reusable B.
-struct PackedGemmB16 {
-  std::vector<std::int16_t> data;
-  int k = 0;
-  int n = 0;
-
-  int kpairs() const { return (k + 1) / 2; }
-  bool empty() const { return n == 0 || k == 0; }
-};
-
-/// Packs row-major B[k,n] int16 into `out` (storage recycled across calls).
-void pack_gemm_b_i16(const std::int16_t* b, int k, int n, PackedGemmB16& out);
-
-/// Integer GEMM: C[m,n] (+)= A * B with A pre-packed (PackedGemmA16), B
-/// row-major int16 [k,n], C int32 — the explicit-lowering oracle of
-/// gemm_i16_lowered_ep (test-side only): B is packed per column panel into
-/// storage the packing task owns, full 4x16 tiles run the dispatched
-/// micro-kernel, ragged edges run an ISA-independent scalar path with
-/// identical wraparound semantics, and
-/// the panel x row-block thread split is bitwise invariant for any worker
-/// count (integer addition commutes mod 2^32).
-void gemm_i16_tiled_pa(const PackedGemmA16& a, const std::int16_t* b,
-                       std::int32_t* c, int n, bool accumulate);
 
 /// The fused epilogue of gemm_i16_lowered_ep (see GemmTileI16Ep4x16Fn for
 /// the per-element chain). Accumulators are at Q(frac_bits + round_shift);

@@ -131,30 +131,6 @@ void tile4x16_ep_avx2(const float* apanel, const float* bpanel, int k,
   }
 }
 
-float dot_avx2(const float* x, const float* y, int k) {
-  __m256 s0 = _mm256_setzero_ps();
-  __m256 s1 = _mm256_setzero_ps();
-  int p = 0;
-  for (; p + 16 <= k; p += 16) {
-    s0 = _mm256_fmadd_ps(_mm256_loadu_ps(x + p), _mm256_loadu_ps(y + p), s0);
-    s1 = _mm256_fmadd_ps(_mm256_loadu_ps(x + p + 8),
-                         _mm256_loadu_ps(y + p + 8), s1);
-  }
-  if (p + 8 <= k) {
-    s0 = _mm256_fmadd_ps(_mm256_loadu_ps(x + p), _mm256_loadu_ps(y + p), s0);
-    p += 8;
-  }
-  const __m256 s = _mm256_add_ps(s0, s1);
-  const __m128 lo = _mm256_castps256_ps128(s);
-  const __m128 hi = _mm256_extractf128_ps(s, 1);
-  __m128 q = _mm_add_ps(lo, hi);
-  q = _mm_add_ps(q, _mm_movehl_ps(q, q));
-  q = _mm_add_ss(q, _mm_shuffle_ps(q, q, 0x1));
-  float out = _mm_cvtss_f32(q);
-  for (; p < k; ++p) out += x[p] * y[p];
-  return out;
-}
-
 /// The integer 4x16 tile's k loop via `_mm256_madd_epi16`: each 32-bit
 /// broadcast of a packed A pair against a [16][2] pair-interleaved B row
 /// yields, per 32-bit lane, the dot of one k-pair for one output column —
@@ -567,8 +543,8 @@ void affine_f32_avx2(const float* src, float* dst, std::size_t n, float scale,
   for (; i < n; ++i) dst[i] = src[i] * scale + shift;
 }
 
-constexpr GemmKernels kAvx2Kernels{tile4x16_avx2,     dot_avx2,
-                                   tile4x16_i16_avx2, tile4x16_i16_ep_avx2,
+constexpr GemmKernels kAvx2Kernels{tile4x16_avx2,     tile4x16_i16_avx2,
+                                   tile4x16_i16_ep_avx2,
                                    detail::stack_tile<tile4x16_avx2>,
                                    detail::stack_tile_ep<tile4x16_ep_avx2>,
                                    detail::stack_tile_i16<tile4x16_i16_avx2>,

@@ -208,7 +208,7 @@ void tile16x16_i16_ep_avx512(const std::int16_t* apanel,
 // the AVX2 table.
 constexpr GemmKernels kAvx512Tiles{
     nullptr,          nullptr,
-    nullptr,          nullptr,
+    nullptr,
     tile16x16_avx512, tile16x16_ep_avx512,
     tile16x16_i16_avx512, tile16x16_i16_ep_avx512,
     nullptr,          nullptr,

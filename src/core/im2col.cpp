@@ -227,23 +227,6 @@ void permute_channel_major(const float* src, float* dst, int batch,
   });
 }
 
-void gemm_at(const float* a, const float* b, float* c, int m, int k, int n,
-             bool accumulate) {
-  // A stored [k, m]: A^T[i, p] = a[p*m + i].
-  util::parallel_for(0, static_cast<std::size_t>(m), [&](std::size_t i) {
-    float* crow = c + i * n;
-    if (!accumulate) {
-      for (int j = 0; j < n; ++j) crow[j] = 0.0f;
-    }
-    for (int p = 0; p < k; ++p) {
-      const float av = a[static_cast<std::size_t>(p) * m + i];
-      if (av == 0.0f) continue;
-      const float* brow = b + static_cast<std::size_t>(p) * n;
-      for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  });
-}
-
 namespace {
 
 // Micro-kernel geometry (see core/gemm_kernels.hpp — the 4 x 16 tile the
@@ -261,6 +244,10 @@ constexpr int kPanelCols = 256;
 // (panels alone can't feed every worker): big enough that the duplicated
 // B-panel pack per task stays amortized.
 constexpr int kMinRowTilesPerTask = 8;
+// Depth block of the weight-gradient GEMMs (gemm_at, gemm_bt_tiled): their
+// sums over the batch (and every output position) are cut into dot
+// products this deep.
+constexpr int kDepthBlock = 256;
 
 // Runs run_span(panel, t0, t1) over every column panel x row-tile span
 // of an [m, k] x [k, n] product: sequentially below the parallel flop
@@ -313,10 +300,12 @@ void run_panel_split(int m, int k, int n, int panels, int row_tiles,
 /// with `plane` columns per sample, so plane == n is the plain row-major
 /// [m, n] matrix. r (same layout, may alias c, or null) is the window
 /// each tile reads before its store: the epilogue residual, or C itself
-/// for an accumulating GEMM.
+/// for an accumulating GEMM. S is the stored element: float for every
+/// conv and Linear product, int32 for the int16 GEMM's raw accumulators.
+template <typename S>
 struct TileOut {
-  float* c;
-  const float* r;
+  S* c;
+  const S* r;
   int m;
   std::size_t plane;
 
@@ -333,7 +322,7 @@ struct TileOut {
 /// Its two variation points:
 ///  * pack_panel(p0, pn, scratch) returns the ceil(pn/16) B micro-panels
 ///    of columns [p0, p0 + pn), `bstride` elements apart, phantom columns
-///    zero — copied from a row-major B, pointed into a pre-packed B, or
+///    zero — packed from a strided B, pointed into a pre-packed B, or
 ///    gathered straight from an NCHW image;
 ///  * tile(t, rows, bpanel, c, ldc, r, ldr) runs the micro-kernel for the
 ///    `rows` (4, or kGemmGroupRows = 16: row tiles t..t+3) rows from row
@@ -347,8 +336,8 @@ struct TileOut {
 /// element is therefore computed by the same kernel lane in the same k
 /// order wherever it sits, so the output is bitwise independent of the
 /// tiling, the B source and the thread split.
-template <typename T, typename PackPanel, typename Tile>
-void run_tiles(int m, int k, int n, std::size_t bstride, const TileOut& o,
+template <typename T, typename S, typename PackPanel, typename Tile>
+void run_tiles(int m, int k, int n, std::size_t bstride, const TileOut<S>& o,
                const PackPanel& pack_panel, const Tile& tile) {
   if (m == 0 || n == 0) return;
   const int panels = (n + kPanelCols - 1) / kPanelCols;
@@ -385,7 +374,7 @@ void run_tiles(int m, int k, int n, std::size_t bstride, const TileOut& o,
           }
           const int mr = std::min(kTileRows, m - i0);
           const int nr = std::min(kTileCols, n - j0);
-          float local[kTileRows * kTileCols] = {};
+          S local[kTileRows * kTileCols] = {};
           if (o.r != nullptr) {
             for (int i = 0; i < mr; ++i) {
               for (int j = 0; j < nr; ++j) {
@@ -419,7 +408,8 @@ inline const float* row_coeffs(const float* v, int i0, int rows, int m,
   return pad;
 }
 
-/// Plain or accumulating float store: C (+)= A * B.
+/// Plain or accumulating store: C (+)= A * B, float or (int16 operands)
+/// int32 wraparound.
 auto plain_tile(const PackedGemmA& a, bool accumulate) {
   const GemmKernels* kernels = &active_gemm_kernels();
   return [&a, kernels, accumulate](int t, int rows, const float* bp,
@@ -429,6 +419,56 @@ auto plain_tile(const PackedGemmA& a, bool accumulate) {
         a.data.data() + static_cast<std::size_t>(t) * a.k * kTileRows, bp,
         a.k, c, ldc, accumulate);
   };
+}
+
+auto plain_tile(const PackedGemmA16& a, bool accumulate) {
+  const GemmKernels* kernels = &active_gemm_kernels();
+  return [&a, kernels, accumulate](int t, int rows, const std::int16_t* bp,
+                                   std::int32_t* c, std::size_t ldc,
+                                   const std::int32_t*, std::size_t) {
+    const int kp = a.kpairs();
+    (rows == kTileRows ? kernels->tile4x16_i16 : kernels->tile16x16_i16)(
+        a.data.data() + static_cast<std::size_t>(t) * kp * kTileRows * 2, bp,
+        kp, c, ldc, accumulate);
+  };
+}
+
+/// THE panel packer. Element (r, d) of a rows x depth operand is
+/// src[r * row_stride + d * depth_stride]; out becomes [ceil(rows/W)]
+/// panels of [depth][W] floats, or of [ceil(depth/2)][W][2] pair-
+/// interleaved int16 (entry [p][w][s] = element (W*t + w, 2p + s), the
+/// `_mm256_madd_epi16` dot-pair layout), every slot past rows or depth
+/// zero. With W = 4 it writes the A row panels, with W = 16 the B column
+/// micro-panels; the strides say whether the operand is stored as is or
+/// transposed.
+template <int W, typename T>
+void pack_panels(const T* src, int rows, int depth, std::size_t row_stride,
+                 std::size_t depth_stride, std::vector<T>& out) {
+  constexpr int kPair = std::is_same_v<T, std::int16_t> ? 2 : 1;
+  const int groups = (depth + kPair - 1) / kPair;
+  const int panels = (rows + W - 1) / W;
+  out.resize(static_cast<std::size_t>(panels) * groups * W * kPair);
+  T* dst = out.data();
+  for (int t = 0; t < panels; ++t) {
+    const int r0 = t * W;
+    const int live = std::min(W, rows - r0);
+    const T* base = src + static_cast<std::size_t>(r0) * row_stride;
+    for (int g = 0; g < groups; ++g, dst += W * kPair) {
+      for (int s = 0; s < kPair; ++s) {
+        const int d = g * kPair + s;
+        const int have = d < depth ? live : 0;
+        const T* col = base + static_cast<std::size_t>(d) * depth_stride;
+        if (kPair == 1 && row_stride == 1 && have > 0) {
+          std::memcpy(dst, col, static_cast<std::size_t>(have) * sizeof(T));
+        } else {
+          for (int w = 0; w < have; ++w) {
+            dst[w * kPair + s] = col[w * row_stride];
+          }
+        }
+        for (int w = have; w < W; ++w) dst[w * kPair + s] = T{};
+      }
+    }
+  }
 }
 
 // ---- The implicit lowering's gather plan --------------------------------
@@ -653,78 +693,122 @@ void pack_gemm_a(const float* a, int m, int k, PackedGemmA& out) {
   ODENET_CHECK(m >= 0 && k >= 0, "bad pack_gemm_a dimensions");
   out.m = m;
   out.k = k;
-  const int row_tiles = (m + kTileRows - 1) / kTileRows;
-  out.data.resize(static_cast<std::size_t>(row_tiles) *
-                  static_cast<std::size_t>(std::max(k, 1)) * kTileRows);
-  for (int t = 0; t < row_tiles; ++t) {
-    const int i0 = t * kTileRows;
-    const int mr = std::min(kTileRows, m - i0);
-    float* panel = out.data.data() +
-                   static_cast<std::size_t>(t) * k * kTileRows;
-    for (int p = 0; p < k; ++p) {
-      float* dst = panel + static_cast<std::size_t>(p) * kTileRows;
-      for (int i = 0; i < mr; ++i) {
-        dst[i] = a[(i0 + i) * static_cast<std::size_t>(k) + p];
-      }
-      for (int i = mr; i < kTileRows; ++i) dst[i] = 0.0f;
-    }
-  }
+  pack_panels<kTileRows>(a, m, k, static_cast<std::size_t>(k), 1, out.data);
 }
 
 void pack_gemm_b_nt(const float* bt, int k, int n, PackedGemmB& out) {
   ODENET_CHECK(k >= 0 && n >= 0, "bad pack_gemm_b_nt dimensions");
   out.k = k;
   out.n = n;
-  const int col_tiles = (n + kTileCols - 1) / kTileCols;
-  out.data.resize(static_cast<std::size_t>(col_tiles) *
-                  static_cast<std::size_t>(std::max(k, 1)) * kTileCols);
-  for (int t = 0; t < col_tiles; ++t) {
-    const int j0 = t * kTileCols;
-    const int nr = std::min(kTileCols, n - j0);
-    float* panel = out.data.data() +
-                   static_cast<std::size_t>(t) * k * kTileCols;
-    for (int p = 0; p < k; ++p) {
-      float* dst = panel + static_cast<std::size_t>(p) * kTileCols;
-      for (int j = 0; j < nr; ++j) {
-        // B[p][j0+j] = bt[(j0+j)*k + p] (bt stores B^T row-major).
-        dst[j] = bt[(j0 + j) * static_cast<std::size_t>(k) + p];
-      }
-      for (int j = nr; j < kTileCols; ++j) dst[j] = 0.0f;
-    }
-  }
+  pack_panels<kTileCols>(bt, n, k, static_cast<std::size_t>(k), 1, out.data);
 }
+
+void pack_gemm_a_i16(const std::int16_t* a, int m, int k, PackedGemmA16& out) {
+  ODENET_CHECK(m >= 0 && k >= 0, "bad pack_gemm_a_i16 dimensions");
+  out.m = m;
+  out.k = k;
+  pack_panels<kTileRows>(a, m, k, static_cast<std::size_t>(k), 1, out.data);
+}
+
+void pack_gemm_b_i16(const std::int16_t* b, int k, int n, PackedGemmB16& out) {
+  ODENET_CHECK(k >= 0 && n >= 0, "bad pack_gemm_b_i16 dimensions");
+  out.k = k;
+  out.n = n;
+  pack_panels<kTileCols>(b, n, k, 1, static_cast<std::size_t>(n), out.data);
+}
+
+namespace {
+
+/// Element (i, p) of A is a[i * a_rows + p * a_depth] and element (p, j)
+/// of B is b[j * b_cols + p * b_depth]: the one strided float GEMM
+/// C[m,n] (+)= A * B behind gemm_tiled, gemm_at and gemm_bt_tiled. A is
+/// packed per call into storage the call owns (every pool worker of the
+/// split reads it through the captured reference); B's micro-panels are
+/// packed per column panel by the task that uses them, so every
+/// micro-kernel read is sequential however B is laid out.
+///
+/// With depth_block > 0 the depth runs in blocks of that many. The first
+/// block accumulates straight into C; every later block is summed from
+/// zero in a local tile and then added, so a weight gradient's long depth
+/// (all N*Ho*Wo columns for conv dW) rounds like depth_block-long dot
+/// products, not like one running sum, and each block's A and B panels
+/// stay in L1. depth_block = 0 keeps the depth whole, so the product is
+/// bitwise the forward conv's tile. Either way every element is summed in
+/// one fixed order whatever the ISA tier or split.
+void gemm_strided(const float* a, std::size_t a_rows, std::size_t a_depth,
+                  const float* b, std::size_t b_cols, std::size_t b_depth,
+                  float* c, int m, int k, int n, bool accumulate,
+                  int depth_block) {
+  ODENET_CHECK(m >= 0 && k >= 0 && n >= 0, "bad gemm dimensions");
+  const int kc = depth_block > 0 ? depth_block : std::max(k, 1);
+  const int blocks = std::max(1, (k + kc - 1) / kc);
+  std::vector<PackedGemmA> pa(static_cast<std::size_t>(blocks));
+  for (int blk = 0; blk < blocks; ++blk) {
+    const int d0 = blk * kc;
+    PackedGemmA& p = pa[static_cast<std::size_t>(blk)];
+    p.m = m;
+    p.k = std::min(kc, k - d0);
+    pack_panels<kTileRows>(a + static_cast<std::size_t>(d0) * a_depth, m, p.k,
+                           a_rows, a_depth, p.data);
+  }
+  const GemmKernels& kernels = active_gemm_kernels();
+  run_tiles<float>(
+      m, k, n, static_cast<std::size_t>(k) * kTileCols,
+      TileOut<float>{c, accumulate ? c : nullptr, m,
+                     static_cast<std::size_t>(n)},
+      [&](int p0, int pn, std::vector<float>& s) {
+        pack_panels<kTileCols>(b + static_cast<std::size_t>(p0) * b_cols, pn,
+                               k, b_cols, b_depth, s);
+        return static_cast<const float*>(s.data());
+      },
+      [&](int t, int rows, const float* bp, float* ct, std::size_t ldc,
+          const float*, std::size_t) {
+        const GemmTile4x16Fn run =
+            rows == kTileRows ? kernels.tile4x16 : kernels.tile16x16;
+        for (int blk = 0; blk < blocks; ++blk) {
+          const PackedGemmA& p = pa[static_cast<std::size_t>(blk)];
+          const float* ap =
+              p.data.data() + static_cast<std::size_t>(t) * p.k * kTileRows;
+          const float* bb =
+              bp + static_cast<std::size_t>(blk) * kc * kTileCols;
+          if (blk == 0) {
+            run(ap, bb, p.k, ct, ldc, accumulate);
+            continue;
+          }
+          float part[kGemmGroupRows * kTileCols];
+          run(ap, bb, p.k, part, kTileCols, false);
+          for (int i = 0; i < rows; ++i) {
+            float* crow = ct + static_cast<std::size_t>(i) * ldc;
+            for (int j = 0; j < kTileCols; ++j) {
+              crow[j] += part[i * kTileCols + j];
+            }
+          }
+        }
+      });
+}
+
+}  // namespace
 
 void gemm_tiled(const float* a, const float* b, float* c, int m, int k, int n,
                 bool accumulate) {
-  ODENET_CHECK(m >= 0 && k >= 0 && n >= 0, "bad gemm dimensions");
-  // A is packed into storage this call owns, which every pool worker of
-  // the split reads through the captured reference.
-  PackedGemmA pa;
-  pack_gemm_a(a, m, k, pa);
-  // B source: each panel's rows copied into contiguous [k][16]
-  // micro-panels (one sequential pass over B). Rows of a wide B sit one
-  // page apart, so sweeping them once per row tile of A would thrash the
-  // TLB; packed, every micro-kernel read is sequential.
-  const std::size_t bstride = static_cast<std::size_t>(k) * kTileCols;
-  auto pack_rows = [&](int p0, int pn, std::vector<float>& s) {
-    const int tiles = (pn + kTileCols - 1) / kTileCols;
-    s.resize(static_cast<std::size_t>(tiles) * bstride);
-    for (int p = 0; p < k; ++p) {
-      const float* brow = b + static_cast<std::size_t>(p) * n + p0;
-      for (int jt = 0; jt < tiles; ++jt) {
-        const int nr = std::min(kTileCols, pn - jt * kTileCols);
-        float* dst = s.data() + jt * bstride +
-                     static_cast<std::size_t>(p) * kTileCols;
-        std::memcpy(dst, brow + jt * kTileCols, nr * sizeof(float));
-        std::fill(dst + nr, dst + kTileCols, 0.0f);
-      }
-    }
-    return static_cast<const float*>(s.data());
-  };
-  run_tiles<float>(m, k, n, bstride,
-                   TileOut{c, accumulate ? c : nullptr, m,
-                           static_cast<std::size_t>(n)},
-                   pack_rows, plain_tile(pa, accumulate));
+  gemm_strided(a, static_cast<std::size_t>(k), 1, b, 1,
+               static_cast<std::size_t>(n), c, m, k, n, accumulate, 0);
+}
+
+void gemm_at(const float* a, const float* b, float* c, int m, int k, int n,
+             bool accumulate) {
+  // A stored [k, m]: A[i, p] = a[p*m + i].
+  gemm_strided(a, 1, static_cast<std::size_t>(m), b, 1,
+               static_cast<std::size_t>(n), c, m, k, n, accumulate,
+               kDepthBlock);
+}
+
+void gemm_bt_tiled(const float* a, const float* b, float* c, int m, int k,
+                   int n, bool accumulate) {
+  // B stored [n, k]: B[p, j] = b[j*k + p].
+  gemm_strided(a, static_cast<std::size_t>(k), 1, b,
+               static_cast<std::size_t>(k), 1, c, m, k, n, accumulate,
+               kDepthBlock);
 }
 
 void gemm_tiled_pb(const float* a, const PackedGemmB& b, float* c, int m,
@@ -737,9 +821,25 @@ void gemm_tiled_pb(const float* a, const PackedGemmB& b, float* c, int m,
     return b.data.data() + static_cast<std::size_t>(p0 / kTileCols) * bstride;
   };
   run_tiles<float>(m, b.k, b.n, bstride,
-                   TileOut{c, accumulate ? c : nullptr, m,
-                           static_cast<std::size_t>(b.n)},
+                   TileOut<float>{c, accumulate ? c : nullptr, m,
+                                  static_cast<std::size_t>(b.n)},
                    prepacked, plain_tile(pa, accumulate));
+}
+
+void gemm_i16_tiled_pa(const PackedGemmA16& a, const std::int16_t* b,
+                       std::int32_t* c, int n, bool accumulate) {
+  ODENET_CHECK(n >= 0, "bad gemm dimensions");
+  const int k = a.k;
+  run_tiles<std::int16_t>(
+      a.m, k, n, static_cast<std::size_t>(a.kpairs()) * kTileCols * 2,
+      TileOut<std::int32_t>{c, accumulate ? c : nullptr, a.m,
+                            static_cast<std::size_t>(n)},
+      [&](int p0, int pn, std::vector<std::int16_t>& s) {
+        pack_panels<kTileCols>(b + p0, pn, k, 1, static_cast<std::size_t>(n),
+                               s);
+        return static_cast<const std::int16_t*>(s.data());
+      },
+      plain_tile(a, accumulate));
 }
 
 void gemm_lowered_ep(const PackedGemmA& a, const float* src,
@@ -755,7 +855,7 @@ void gemm_lowered_ep(const PackedGemmA& a, const float* src,
   const GemmKernels& kernels = active_gemm_kernels();
   run_tiles<float>(
       m, k, n, static_cast<std::size_t>(k) * kTileCols,
-      TileOut{out, ep.residual, m, g.col_cols()},
+      TileOut<float>{out, ep.residual, m, g.col_cols()},
       [&](int p0, int pn, std::vector<float>& s) {
         return gather_panel(plan, k, p0, pn, s);
       },
@@ -786,7 +886,7 @@ void gemm_i16_lowered_ep(const PackedGemmA16& a, const std::int16_t* src,
   const GemmKernels& kernels = active_gemm_kernels();
   run_tiles<std::int16_t>(
       m, k, n, static_cast<std::size_t>(kp) * kTileCols * 2,
-      TileOut{out, ep.residual, m, g.col_cols()},
+      TileOut<float>{out, ep.residual, m, g.col_cols()},
       [&](int p0, int pn, std::vector<std::int16_t>& s) {
         return gather_panel(plan, k, p0, pn, s);
       },
@@ -801,39 +901,6 @@ void gemm_i16_lowered_ep(const PackedGemmA16& a, const std::int16_t* src,
             row_coeffs(ep.shift, i0, rows, m, b4), r, ldr, ep.round_shift,
             ep.frac_bits, ep.relu, ep.beta);
       });
-}
-
-void gemm_bt_tiled(const float* a, const float* b, float* c, int m, int k,
-                   int n, bool accumulate) {
-  ODENET_CHECK(m >= 0 && k >= 0 && n >= 0, "bad gemm dimensions");
-  // Row quads: each 4-row tile of C streams the whole of B once; the four
-  // A rows (and the current B row) stay cache-hot across the tile. The
-  // inner dot runs over independent partial sums (scalar: 8-way unroll the
-  // vectorizer packs; AVX2: explicit FMA lanes) — see gemm_kernels.hpp.
-  const GemmKernels& kernels = active_gemm_kernels();
-  const int row_tiles = (m + kTileRows - 1) / kTileRows;
-  auto run_tile = [&](std::size_t t) {
-    const int i0 = static_cast<int>(t) * kTileRows;
-    const int mr = std::min(kTileRows, m - i0);
-    for (int j = 0; j < n; ++j) {
-      const float* brow = b + static_cast<std::size_t>(j) * k;
-      for (int i = 0; i < mr; ++i) {
-        const float* arow = a + (i0 + i) * static_cast<std::size_t>(k);
-        float* cv = c + (i0 + i) * static_cast<std::size_t>(n) + j;
-        const float dot = kernels.dot(arow, brow, k);
-        *cv = accumulate ? *cv + dot : dot;
-      }
-    }
-  };
-  const std::size_t flops = 2ull * static_cast<std::size_t>(m) *
-                            static_cast<std::size_t>(k) *
-                            static_cast<std::size_t>(n);
-  util::ThreadPool& pool = kernel_pool();
-  if (flops < gemm_parallel_min_flops() || pool.worker_count() <= 1) {
-    for (int t = 0; t < row_tiles; ++t) run_tile(static_cast<std::size_t>(t));
-    return;
-  }
-  util::parallel_for(pool, 0, static_cast<std::size_t>(row_tiles), run_tile);
 }
 
 }  // namespace odenet::core

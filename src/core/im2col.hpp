@@ -1,19 +1,24 @@
 // Convolution lowering and the one tiled GEMM driver behind every conv and
-// Linear layer.
+// Linear layer, forward and backward.
 //
 // The driver (im2col.cpp run_tiles) sweeps 4x16 micro-kernel tiles column
 // panel by column panel on one panel x row-block thread split, running
 // whole groups of four row tiles through the kernel table's 16-row entry
 // (the AVX-512 zmm tiles, four 4x16 tiles on the other tiers). It has two
 // variation points:
-//  * where B micro-panels come from — copied from a row-major B
-//    (gemm_tiled: the backward dX products), pre-packed (gemm_tiled_pb:
-//    Linear), or gathered straight from an NCHW image through one per-tap
-//    mask/offset plan (gemm_lowered_ep / gemm_i16_lowered_ep: every
-//    inference conv, any geometry — the column matrix is never
-//    materialized);
-//  * how a tile is stored — plain or accumulating, through a float
-//    GemmEpilogue, or through the integer GemmI16Epilogue.
+//  * where B micro-panels come from — packed per column panel from a
+//    strided B (gemm_tiled, gemm_at, gemm_bt_tiled: the training backward
+//    products; gemm_i16_tiled_pa: the int16 explicit-lowering oracle),
+//    pre-packed (gemm_tiled_pb: Linear forward), or gathered straight from
+//    an NCHW image through one per-tap mask/offset plan (gemm_lowered_ep /
+//    gemm_i16_lowered_ep: every inference conv, any geometry — the column
+//    matrix is never materialized);
+//  * how a tile is stored — plain or accumulating (float, or int32 for
+//    the int16 GEMM), through a float GemmEpilogue, or through the integer
+//    GemmI16Epilogue.
+// Every packed operand — the A row panels and the B micro-panels, float or
+// pair-interleaved int16 — is written by one strided panel packer; the
+// front-ends differ only in the strides they hand it.
 // Edge tiles (ragged rows or columns, or tiles that straddle two samples)
 // run the same full kernel into a local tile, so every output element is
 // computed the same way wherever it sits: outputs are bitwise independent
@@ -83,15 +88,17 @@ void col2im_batched(const float* cols, const LoweringGeometry& g, int batch,
 void permute_channel_major(const float* src, float* dst, int batch,
                            int channels, std::size_t plane, bool to_nchw);
 
-/// C[m,n] (+)= A^T[m,k] * B[k,n] where A is stored [k,m] row-major.
+/// C[m,n] (+)= A^T[m,k] * B[k,n] where A is stored [k,m] row-major, on the
+/// tiled driver (Linear backward dW, k = the batch). The weight-gradient
+/// GEMMs sum k in blocks of 256, ascending: the first block onto C, each
+/// later one summed from zero and then added, so rounding grows with the
+/// block, not with k.
 void gemm_at(const float* a, const float* b, float* c, int m, int k, int n,
              bool accumulate);
 
-/// Register-blocked A*B^T: C[m,n] (+)= A[m,k] * B^T with B stored [n,k]
-/// row-major, row-quad tiled — each B row is streamed once per four rows
-/// of C, and every dot product runs over eight partial accumulators so it
-/// vectorizes. Used by the batched conv backward for dW, where k is the
-/// long n*Ho*Wo axis.
+/// C[m,n] (+)= A[m,k] * B^T with B stored [n,k] row-major, on the tiled
+/// driver, k in blocks as gemm_at. Used by the batched conv backward for
+/// dW, where k is the long n*Ho*Wo axis.
 void gemm_bt_tiled(const float* a, const float* b, float* c, int m, int k,
                    int n, bool accumulate);
 
@@ -126,8 +133,45 @@ struct PackedGemmB {
 /// Packs `bt` (stored [n,k] row-major, i.e. B transposed) into `out`.
 void pack_gemm_b_nt(const float* bt, int k, int n, PackedGemmB& out);
 
+/// An int16 [m,k] matrix repacked into the pair-interleaved row-panel
+/// layout the integer micro-kernel consumes: [ceil(m/4)] panels of
+/// [kpairs][4][2], where panel t holds rows 4t..4t+3 and entry
+/// [p][i][s] = A[4t+i][2p+s]. The [2] pair axis is innermost so one 32-bit
+/// broadcast yields a row's (even, odd) k-pair for `_mm256_madd_epi16`.
+/// Edge rows past m and the phantom odd-k tap are zero-padded. This is the
+/// once-per-layer packed-weight format the fixed backend caches.
+struct PackedGemmA16 {
+  std::vector<std::int16_t> data;
+  int m = 0;
+  int k = 0;  // logical (un-padded) depth
+
+  int kpairs() const { return (k + 1) / 2; }
+  bool empty() const { return m == 0 || k == 0; }
+};
+
+/// Packs row-major A[m,k] int16 into `out` (storage recycled across calls).
+void pack_gemm_a_i16(const std::int16_t* a, int m, int k, PackedGemmA16& out);
+
+/// An int16 B[k,n] matrix repacked into the pair-interleaved column-panel
+/// layout: [ceil(n/16)] panels of [kpairs][16][2], entry [p][j][s] =
+/// B[2p+s][16t+j], edge columns and the phantom odd-k tap zero-padded. One
+/// 256-bit load covers 8 columns' k-pairs. gemm_i16_tiled_pa packs the
+/// same layout per column panel; the standalone pack exists for the
+/// kernel parity tests and callers with a reusable B.
+struct PackedGemmB16 {
+  std::vector<std::int16_t> data;
+  int k = 0;
+  int n = 0;
+
+  int kpairs() const { return (k + 1) / 2; }
+  bool empty() const { return n == 0 || k == 0; }
+};
+
+/// Packs row-major B[k,n] int16 into `out` (storage recycled across calls).
+void pack_gemm_b_i16(const std::int16_t* b, int k, int n, PackedGemmB16& out);
+
 /// C[m,n] (+)= A[m,k] * B[k,n], all row-major, through the tiled driver
-/// with B copied panel by panel (k-ascending accumulation per element).
+/// with B packed panel by panel (k-ascending accumulation per element).
 /// A is packed per call into storage the call owns.
 void gemm_tiled(const float* a, const float* b, float* c, int m, int k, int n,
                 bool accumulate);
@@ -136,6 +180,15 @@ void gemm_tiled(const float* a, const float* b, float* c, int m, int k, int n,
 /// X * W^T with W packed once per version).
 void gemm_tiled_pb(const float* a, const PackedGemmB& b, float* c, int m,
                    bool accumulate);
+
+/// Integer GEMM: C[m,n] (+)= A * B with A pre-packed (PackedGemmA16), B
+/// row-major int16 [k,n], C int32 — the explicit-lowering oracle of
+/// gemm_i16_lowered_ep (test-side only), on the tiled driver with int32
+/// tile stores: B is packed per column panel, every tile (edge tiles into
+/// a local int32 tile) runs the dispatched micro-kernel, and the sums wrap
+/// mod 2^32, so any ISA and any worker count give bitwise-identical C.
+void gemm_i16_tiled_pa(const PackedGemmA16& a, const std::int16_t* b,
+                       std::int32_t* c, int n, bool accumulate);
 
 /// Epilogue applied to every output element of gemm_lowered_ep while the
 /// tile is still in registers, in this fixed order:

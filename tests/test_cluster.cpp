@@ -90,6 +90,26 @@ runtime::SubmitOptions for_tenant(const std::string& tenant) {
   return opts;
 }
 
+/// A complete request frame in the retired v1 layout: "QNDO", id,
+/// priority, flags, deadline, tenant_len = 0, a [1,1,1] image, one pixel.
+std::vector<std::uint8_t> legacy_v1_request_frame(std::uint8_t id) {
+  // magic(4) id(8) priority(1) flags(1) deadline(4) tenant_len(2)
+  // channels(2) height(2) width(2) pixel(4), all zero but these.
+  constexpr std::size_t kPayload = 30;
+  std::vector<std::uint8_t> frame(cluster::kFrameHeaderBytes + kPayload, 0);
+  frame[0] = kPayload;
+  std::uint8_t* payload = frame.data() + cluster::kFrameHeaderBytes;
+  payload[0] = 'Q';
+  payload[1] = 'N';
+  payload[2] = 'D';
+  payload[3] = 'O';
+  payload[4] = id;
+  payload[20] = 1;  // channels, height, width = 1 (u16 LE)
+  payload[22] = 1;
+  payload[24] = 1;
+  return frame;
+}
+
 }  // namespace
 
 // ---- ClusterRouter: placement ------------------------------------------
@@ -321,151 +341,134 @@ TEST(EngineCluster, CordonedShardReceivesNothingAndFullCordonRejects) {
 // ---- wire protocol -----------------------------------------------------
 
 TEST(ClusterProtocol, RequestRoundTripsThroughEncodeDecode) {
-  for (std::uint8_t version : {std::uint8_t{1}, std::uint8_t{2}}) {
-    WireRequest req;
-    req.version = version;
-    req.id = 0x0123456789ABCDEFull;
-    req.priority = Priority::kHigh;
-    req.evictable = false;
-    req.deadline_us = 250000;
-    req.tenant = "tenant-\xC3\xA9";  // arbitrary bytes survive
-    if (version == 2) {
-      req.model = "resnet-ode/tiny";
-      req.model_version = 0xFEDCBA9876543210ull;
-    }
-    req.channels = 3;
-    req.height = 2;
-    req.width = 4;
-    req.pixels.resize(24);
-    for (std::size_t i = 0; i < req.pixels.size(); ++i) {
-      req.pixels[i] = static_cast<float>(i) - 11.5f;
-    }
-
-    const std::vector<std::uint8_t> frame = cluster::encode_request(req);
-    ASSERT_GE(frame.size(), cluster::kFrameHeaderBytes);
-    const std::uint32_t payload = cluster::decode_frame_length(frame.data());
-    ASSERT_EQ(payload + cluster::kFrameHeaderBytes, frame.size());
-
-    const WireRequest back = cluster::decode_request(
-        frame.data() + cluster::kFrameHeaderBytes, payload);
-    EXPECT_EQ(back.version, version);
-    EXPECT_EQ(back.id, req.id);
-    EXPECT_EQ(back.priority, req.priority);
-    EXPECT_EQ(back.evictable, req.evictable);
-    EXPECT_EQ(back.deadline_us, req.deadline_us);
-    EXPECT_EQ(back.tenant, req.tenant);
-    EXPECT_EQ(back.model, req.model);
-    EXPECT_EQ(back.model_version, req.model_version);
-    EXPECT_EQ(back.channels, req.channels);
-    EXPECT_EQ(back.height, req.height);
-    EXPECT_EQ(back.width, req.width);
-    EXPECT_EQ(back.pixels, req.pixels);
+  WireRequest req;
+  req.id = 0x0123456789ABCDEFull;
+  req.priority = Priority::kHigh;
+  req.evictable = false;
+  req.deadline_us = 250000;
+  req.tenant = "tenant-\xC3\xA9";  // arbitrary bytes survive
+  req.model = "resnet-ode/tiny";
+  req.model_version = 0xFEDCBA9876543210ull;
+  req.channels = 3;
+  req.height = 2;
+  req.width = 4;
+  req.pixels.resize(24);
+  for (std::size_t i = 0; i < req.pixels.size(); ++i) {
+    req.pixels[i] = static_cast<float>(i) - 11.5f;
   }
+
+  const std::vector<std::uint8_t> frame = cluster::encode_request(req);
+  ASSERT_GE(frame.size(), cluster::kFrameHeaderBytes);
+  const std::uint32_t payload = cluster::decode_frame_length(frame.data());
+  ASSERT_EQ(payload + cluster::kFrameHeaderBytes, frame.size());
+
+  const WireRequest back = cluster::decode_request(
+      frame.data() + cluster::kFrameHeaderBytes, payload);
+  EXPECT_EQ(back.id, req.id);
+  EXPECT_EQ(back.priority, req.priority);
+  EXPECT_EQ(back.evictable, req.evictable);
+  EXPECT_EQ(back.deadline_us, req.deadline_us);
+  EXPECT_EQ(back.tenant, req.tenant);
+  EXPECT_EQ(back.model, req.model);
+  EXPECT_EQ(back.model_version, req.model_version);
+  EXPECT_EQ(back.channels, req.channels);
+  EXPECT_EQ(back.height, req.height);
+  EXPECT_EQ(back.width, req.width);
+  EXPECT_EQ(back.pixels, req.pixels);
 }
 
 TEST(ClusterProtocol, ResponseRoundTripsThroughEncodeDecode) {
-  for (std::uint8_t version : {std::uint8_t{1}, std::uint8_t{2}}) {
-    WireResponse res;
-    res.version = version;
-    res.id = 77;
-    res.status = cluster::ResponseStatus::kShed;
-    res.shard = 2;
-    res.predicted = -1;
-    res.latency_ms = 12.5f;
-    if (version == 2) res.model_version = 41;
-    res.logits = {0.5f, -1.25f, 3.0f};
-    res.message = "cluster: all 4 candidate shard(s) full";
+  WireResponse res;
+  res.id = 77;
+  res.status = cluster::ResponseStatus::kShed;
+  res.shard = 2;
+  res.predicted = -1;
+  res.latency_ms = 12.5f;
+  res.model_version = 41;
+  res.logits = {0.5f, -1.25f, 3.0f};
+  res.message = "cluster: all 4 candidate shard(s) full";
 
-    const std::vector<std::uint8_t> frame = cluster::encode_response(res);
-    const std::uint32_t payload = cluster::decode_frame_length(frame.data());
-    const WireResponse back = cluster::decode_response(
-        frame.data() + cluster::kFrameHeaderBytes, payload);
-    EXPECT_EQ(back.version, version);
-    EXPECT_EQ(back.id, res.id);
-    EXPECT_EQ(back.status, res.status);
-    EXPECT_EQ(back.shard, res.shard);
-    EXPECT_EQ(back.predicted, res.predicted);
-    EXPECT_FLOAT_EQ(back.latency_ms, res.latency_ms);
-    EXPECT_EQ(back.model_version, version == 2 ? 41u : 0u);
-    EXPECT_EQ(back.logits, res.logits);
-    EXPECT_EQ(back.message, res.message);
-  }
+  const std::vector<std::uint8_t> frame = cluster::encode_response(res);
+  const std::uint32_t payload = cluster::decode_frame_length(frame.data());
+  const WireResponse back = cluster::decode_response(
+      frame.data() + cluster::kFrameHeaderBytes, payload);
+  EXPECT_EQ(back.id, res.id);
+  EXPECT_EQ(back.status, res.status);
+  EXPECT_EQ(back.shard, res.shard);
+  EXPECT_EQ(back.predicted, res.predicted);
+  EXPECT_FLOAT_EQ(back.latency_ms, res.latency_ms);
+  EXPECT_EQ(back.model_version, 41u);
+  EXPECT_EQ(back.logits, res.logits);
+  EXPECT_EQ(back.message, res.message);
 }
 
-TEST(ClusterProtocol, V1FramesCannotCarryModelRefs) {
-  // A v1 frame has no model fields; encoding must refuse rather than
-  // silently drop a pinned model ref.
-  WireRequest req;
-  req.version = 1;
-  req.model = "m";
-  req.channels = 1;
-  req.height = 1;
-  req.width = 1;
-  req.pixels = {0.0f};
-  EXPECT_THROW(cluster::encode_request(req), odenet::Error);
-  req.model.clear();
-  req.model_version = 3;
-  EXPECT_THROW(cluster::encode_request(req), odenet::Error);
-  req.model_version = 0;
-  EXPECT_NO_THROW(cluster::encode_request(req));
+TEST(ClusterProtocol, RetiredV1FramesFailTheMagicCheck) {
+  // The first wire layout ("QNDO" requests, "RNDO" responses) is retired:
+  // its frames are bad magics, not an alternative dialect.
+  const std::vector<std::uint8_t> request = legacy_v1_request_frame(9);
+  EXPECT_THROW(cluster::decode_request(request.data() +
+                                           cluster::kFrameHeaderBytes,
+                                       request.size() -
+                                           cluster::kFrameHeaderBytes),
+               odenet::Error);
+  // A v1 response: "RNDO", id, status, shard, predicted, latency,
+  // logits_n = 0, message_len = 0.
+  std::vector<std::uint8_t> response(4 + 8 + 1 + 1 + 4 + 4 + 2 + 2, 0);
+  response[0] = 'R';
+  response[1] = 'N';
+  response[2] = 'D';
+  response[3] = 'O';
+  EXPECT_THROW(cluster::decode_response(response.data(), response.size()),
+               odenet::Error);
 }
 
 TEST(ClusterProtocol, TruncatedAndMalformedFramesThrowReadably) {
-  // Both wire versions: every proper prefix must throw (never read out
-  // of bounds, never return garbage) — the truncation fuzz.
-  for (std::uint8_t version : {std::uint8_t{1}, std::uint8_t{2}}) {
-    WireRequest req;
-    req.version = version;
-    req.tenant = "t";
-    if (version == 2) req.model = "m";
-    req.channels = 1;
-    req.height = 2;
-    req.width = 2;
-    req.pixels = {1.0f, 2.0f, 3.0f, 4.0f};
-    const std::vector<std::uint8_t> frame = cluster::encode_request(req);
-    const std::uint8_t* payload = frame.data() + cluster::kFrameHeaderBytes;
-    const std::size_t size = frame.size() - cluster::kFrameHeaderBytes;
+  // Every proper prefix must throw (never read out of bounds, never
+  // return garbage) — the truncation fuzz.
+  WireRequest req;
+  req.tenant = "t";
+  req.model = "m";
+  req.channels = 1;
+  req.height = 2;
+  req.width = 2;
+  req.pixels = {1.0f, 2.0f, 3.0f, 4.0f};
+  const std::vector<std::uint8_t> frame = cluster::encode_request(req);
+  const std::uint8_t* payload = frame.data() + cluster::kFrameHeaderBytes;
+  const std::size_t size = frame.size() - cluster::kFrameHeaderBytes;
 
-    for (std::size_t cut = 0; cut < size; ++cut) {
-      EXPECT_THROW(cluster::decode_request(payload, cut), odenet::Error)
-          << "v" << static_cast<int>(version) << " prefix of " << cut
-          << " bytes";
-    }
-    // Trailing junk is rejected too (framing mismatch, not ignorable).
-    std::vector<std::uint8_t> padded(payload, payload + size);
-    padded.push_back(0);
-    EXPECT_THROW(cluster::decode_request(padded.data(), padded.size()),
-                 odenet::Error);
-    // A response magic in a request slot is a protocol error.
-    std::vector<std::uint8_t> wrong(payload, payload + size);
-    wrong[0] = 0x52;  // 'R'
-    EXPECT_THROW(cluster::decode_request(wrong.data(), wrong.size()),
-                 odenet::Error);
-    // Declaring more pixels than the payload carries must throw, not
-    // read past the buffer: bump the channel count without adding bytes.
-    std::vector<std::uint8_t> lying(payload, payload + size);
-    // channels low byte: magic(4) + id(8) + priority(1) + flags(1) +
-    // deadline(4) + [v2: model_version(8)] + tenant_len(2) +
-    // [v2: model_len(2)] = offset 20 (v1) / 30 (v2).
-    lying[version == 1 ? 20 : 30] = 9;
-    EXPECT_THROW(cluster::decode_request(lying.data(), lying.size()),
-                 odenet::Error);
+  for (std::size_t cut = 0; cut < size; ++cut) {
+    EXPECT_THROW(cluster::decode_request(payload, cut), odenet::Error)
+        << "prefix of " << cut << " bytes";
   }
+  // Trailing junk is rejected too (framing mismatch, not ignorable).
+  std::vector<std::uint8_t> padded(payload, payload + size);
+  padded.push_back(0);
+  EXPECT_THROW(cluster::decode_request(padded.data(), padded.size()),
+               odenet::Error);
+  // A response magic in a request slot is a protocol error.
+  std::vector<std::uint8_t> wrong(payload, payload + size);
+  wrong[0] = 0x52;  // 'R'
+  EXPECT_THROW(cluster::decode_request(wrong.data(), wrong.size()),
+               odenet::Error);
+  // Declaring more pixels than the payload carries must throw, not
+  // read past the buffer: bump the channel count without adding bytes.
+  std::vector<std::uint8_t> lying(payload, payload + size);
+  // channels low byte: magic(4) + id(8) + priority(1) + flags(1) +
+  // deadline(4) + model_version(8) + tenant_len(2) + model_len(2) = 30.
+  lying[30] = 9;
+  EXPECT_THROW(cluster::decode_request(lying.data(), lying.size()),
+               odenet::Error);
 
-  // Response truncation fuzz, both versions.
-  for (std::uint8_t version : {std::uint8_t{1}, std::uint8_t{2}}) {
-    WireResponse res;
-    res.version = version;
-    res.logits = {1.0f, 2.0f};
-    res.message = "x";
-    const std::vector<std::uint8_t> frame = cluster::encode_response(res);
-    const std::uint8_t* payload = frame.data() + cluster::kFrameHeaderBytes;
-    const std::size_t size = frame.size() - cluster::kFrameHeaderBytes;
-    for (std::size_t cut = 0; cut < size; ++cut) {
-      EXPECT_THROW(cluster::decode_response(payload, cut), odenet::Error)
-          << "v" << static_cast<int>(version) << " prefix of " << cut
-          << " bytes";
-    }
+  // Response truncation fuzz.
+  WireResponse res;
+  res.logits = {1.0f, 2.0f};
+  res.message = "x";
+  const std::vector<std::uint8_t> rframe = cluster::encode_response(res);
+  const std::uint8_t* rpayload = rframe.data() + cluster::kFrameHeaderBytes;
+  const std::size_t rsize = rframe.size() - cluster::kFrameHeaderBytes;
+  for (std::size_t cut = 0; cut < rsize; ++cut) {
+    EXPECT_THROW(cluster::decode_response(rpayload, cut), odenet::Error)
+        << "response prefix of " << cut << " bytes";
   }
 }
 
@@ -487,12 +490,8 @@ TEST(SocketFrontend, ServesConcurrentPipelinedClientsWithIdCorrelation) {
       util::Rng rng(100 + c);
       // Pipeline all requests, then collect all responses.
       std::set<std::uint64_t> outstanding;
-      // Client 0 speaks the legacy v1 frames; the rest v2 — one server,
-      // both dialects, responses echo the request's version.
-      const std::uint8_t version = c == 0 ? 1 : 2;
       for (int i = 0; i < kPerClient; ++i) {
         WireRequest req;
-        req.version = version;
         req.id = static_cast<std::uint64_t>(c) * 1000 + i;
         req.tenant = "tenant-" + std::to_string(c) + "-" + std::to_string(i);
         req.channels = 3;
@@ -508,13 +507,8 @@ TEST(SocketFrontend, ServesConcurrentPipelinedClientsWithIdCorrelation) {
         // Correlation: every response id matches one outstanding request.
         ASSERT_EQ(outstanding.erase(res.id), 1u) << res.id;
         ASSERT_EQ(res.status, cluster::ResponseStatus::kOk) << res.message;
-        EXPECT_EQ(res.version, version);
-        if (version == 2) {
-          // v2 responses name the snapshot version that served.
-          EXPECT_GT(res.model_version, 0u);
-        } else {
-          EXPECT_EQ(res.model_version, 0u);
-        }
+        // Responses name the snapshot version that served.
+        EXPECT_GT(res.model_version, 0u);
         EXPECT_EQ(res.logits.size(), 5u);
         EXPECT_GE(res.predicted, 0);
         EXPECT_LT(res.predicted, 5);
@@ -576,6 +570,32 @@ TEST(SocketFrontend, TruncatedFrameGetsErrorResponseAndDropsConnection) {
   const WireResponse res = good.recv();
   EXPECT_EQ(res.id, 5u);
   EXPECT_EQ(res.status, cluster::ResponseStatus::kOk) << res.message;
+
+  frontend.stop();
+  cluster.shutdown();
+}
+
+TEST(SocketFrontend, RetiredV1FrameGetsBadMagicErrorReply) {
+  // A well-framed request in the retired v1 layout: the server answers
+  // with the bad-magic error reply and counts a protocol error, exactly
+  // as for any other unknown magic.
+  EngineCluster cluster(tiny_shards(1));
+  SocketFrontend frontend(cluster, FrontendConfig{});
+  frontend.start();
+
+  FrontendClient client("127.0.0.1", frontend.port());
+  const std::vector<std::uint8_t> frame = legacy_v1_request_frame(3);
+  client.send_raw(frame.data(), frame.size());
+  const WireResponse res = client.recv();
+  EXPECT_EQ(res.status, cluster::ResponseStatus::kError);
+  EXPECT_NE(res.message.find("bad request magic"), std::string::npos)
+      << res.message;
+  EXPECT_EQ(res.model_version, 0u);
+
+  // The counter is bumped before the reply is written.
+  const cluster::FrontendCounters counters = frontend.counters();
+  EXPECT_EQ(counters.protocol_errors, 1u);
+  EXPECT_EQ(counters.requests, 0u);
 
   frontend.stop();
   cluster.shutdown();

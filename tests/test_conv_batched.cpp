@@ -7,7 +7,8 @@
 // stride {1,2}, pad {0,1,2}, batch {1,2,7,16}, non-square H != W, with
 // and without the concat-time channel. Max abs error <= 1e-4 everywhere.
 // The sweep runs again with the GEMM split forced onto explicit 2- and
-// 4-worker pools, which must reproduce the 1-worker output bitwise. Also
+// 4-worker pools, which must reproduce the 1-worker output bitwise, and
+// capped at AVX2, which the AVX-512 tier must reproduce bitwise. Also
 // pins down the scratch behaviour (no regrowth after the first call) and
 // the n = 0 and pad-only-edge cases.
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "core/conv2d.hpp"
 #include "core/gemm_kernels.hpp"
 #include "core/init.hpp"
+#include "isa_tiers.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -163,7 +165,10 @@ TEST(ConvBatchedParity, GeometrySweepIsBitwiseAcrossWorkerCounts) {
     ou::ThreadPool pool(workers);
     PoolOverride ov(&pool, 1);
     ou::Rng rng(42);
-    const std::vector<Geometry> geos = sweep_geometries(rng);
+    std::vector<Geometry> geos = sweep_geometries(rng);
+    // The batch-16 ODEBlock shape: a dW depth of four depth blocks.
+    geos.push_back({.n = 16, .cin = 8, .cout = 8, .h = 8, .w = 8, .k = 3,
+                    .s = 1, .p = 1, .time_channel = true});
     for (std::size_t i = 0; i < geos.size(); ++i) {
       std::vector<Tensor> got = check_parity(geos[i], rng);
       if (workers == 1) {
@@ -178,6 +183,29 @@ TEST(ConvBatchedParity, GeometrySweepIsBitwiseAcrossWorkerCounts) {
       }
     }
   }
+}
+
+TEST(ConvBatchedParity, GeometrySweepAvx512MatchesAvx2Bitwise) {
+  // Forward, dX and dW of every sweep geometry plus the batch-16 ODEBlock
+  // shape (whose dW depth of 1024 spans four depth blocks): the AVX-512
+  // tier must reproduce the AVX2 tier bitwise.
+  const std::string skip = odenet::testing::avx512_skip_reason();
+  if (!skip.empty()) GTEST_SKIP() << skip;
+  odenet::testing::expect_avx512_matches_avx2(
+      [] {
+        ou::Rng rng(42);
+        std::vector<Geometry> geos = sweep_geometries(rng);
+        geos.push_back({.n = 16, .cin = 8, .cout = 8, .h = 8, .w = 8,
+                        .k = 3, .s = 1, .p = 1, .time_channel = true});
+        std::vector<float> out;
+        for (const Geometry& g : geos) {
+          for (const Tensor& t : check_parity(g, rng)) {
+            out.insert(out.end(), t.data(), t.data() + t.numel());
+          }
+        }
+        return out;
+      },
+      "conv forward + backward");
 }
 
 TEST(ConvBatchedParity, LargeBatchOdeBlockShape) {

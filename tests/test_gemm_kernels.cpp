@@ -60,7 +60,8 @@ std::vector<float> reference_gemm(const std::vector<float>& a,
   return c;
 }
 
-/// B[k,n] -> B^T stored [n,k] row-major (the gemm_bt_tiled/pack_gemm_b_nt input).
+/// B[k,n] -> B^T stored [n,k] row-major (the gemm_bt_tiled/pack_gemm_b_nt
+/// input; of A[m,k], the gemm_at input).
 std::vector<float> transpose(const std::vector<float>& b, int k, int n) {
   std::vector<float> bt(static_cast<std::size_t>(n) * k);
   for (int p = 0; p < k; ++p) {
@@ -91,12 +92,13 @@ struct Shape {
 };
 
 /// Full tiles, ragged rows (m % 4), ragged cols (n % 16), sub-tile sizes,
-/// panel boundaries (n near the 256-wide packing panel) and a long-n case
-/// shaped like a batched lowering.
+/// panel boundaries (n near the 256-wide packing panel), a long-n case
+/// shaped like a batched lowering, and a long-k case that spans three
+/// depth blocks of the weight-gradient GEMMs.
 const Shape kShapes[] = {
     {1, 1, 1},    {3, 5, 7},     {4, 8, 16},   {5, 16, 17},  {8, 9, 32},
     {12, 64, 48}, {17, 27, 100}, {20, 36, 255}, {16, 32, 256}, {7, 33, 257},
-    {64, 36, 585}, {100, 7, 130},
+    {64, 36, 585}, {100, 7, 130}, {24, 600, 70},
 };
 
 void run_all_tiled(const Shape& s, ou::Rng& rng) {
@@ -122,6 +124,11 @@ void run_all_tiled(const Shape& s, ou::Rng& rng) {
   gemm_bt_tiled(a.data(), bt.data(), c.data(), s.m, s.k, s.n, false);
   EXPECT_LE(max_abs_diff(c, want), tol) << "gemm_bt_tiled";
 
+  const auto at = transpose(a, s.m, s.k);
+  std::fill(c.begin(), c.end(), -7.0f);
+  gemm_at(at.data(), b.data(), c.data(), s.m, s.k, s.n, false);
+  EXPECT_LE(max_abs_diff(c, want), tol) << "gemm_at";
+
   // accumulate=true adds onto the existing C.
   std::vector<float> acc(cn, 1.5f);
   gemm_tiled(a.data(), b.data(), acc.data(), s.m, s.k, s.n, true);
@@ -131,6 +138,12 @@ void run_all_tiled(const Shape& s, ou::Rng& rng) {
   acc.assign(cn, 1.5f);
   gemm_tiled_pb(a.data(), pb, acc.data(), s.m, true);
   EXPECT_LE(max_abs_diff(acc, want_acc), tol) << "gemm_tiled_pb accumulate";
+  acc.assign(cn, 1.5f);
+  gemm_bt_tiled(a.data(), bt.data(), acc.data(), s.m, s.k, s.n, true);
+  EXPECT_LE(max_abs_diff(acc, want_acc), tol) << "gemm_bt_tiled accumulate";
+  acc.assign(cn, 1.5f);
+  gemm_at(at.data(), b.data(), acc.data(), s.m, s.k, s.n, true);
+  EXPECT_LE(max_abs_diff(acc, want_acc), tol) << "gemm_at accumulate";
 }
 
 /// RAII kernel-pool + parallel-threshold override.
@@ -150,7 +163,7 @@ struct PoolOverride {
 TEST(GemmKernels, DispatchIsConsistent) {
   const GemmKernels& k = active_gemm_kernels();
   ASSERT_NE(k.tile4x16, nullptr);
-  ASSERT_NE(k.dot, nullptr);
+  ASSERT_NE(k.tile4x16_i16, nullptr);
   ASSERT_NE(k.tile16x16, nullptr);
   ASSERT_NE(k.tile16x16_ep, nullptr);
   ASSERT_NE(k.tile16x16_i16, nullptr);
@@ -270,21 +283,26 @@ TEST(GemmKernels, Avx512TilesMatchAvx2Bitwise) {
 }
 
 TEST(GemmKernels, Avx512DriversMatchAvx2Bitwise) {
-  // gemm_tiled and gemm_tiled_pb, plain and accumulating, with m covering
+  // Every float front-end of the tiled driver — gemm_tiled, gemm_tiled_pb,
+  // gemm_at and gemm_bt_tiled — plain and accumulating, with m covering
   // whole 16-row groups, a lone 4-row remainder and ragged rows, ragged n
-  // and panel edges, at 1, 2 and 4 workers on the split path.
+  // and panel edges, a short and a multi-block depth, at 1, 2 and 4
+  // workers on the split path.
   const std::string skip = odenet::testing::avx512_skip_reason();
   if (!skip.empty()) GTEST_SKIP() << skip;
   ou::Rng rng(13);
   for (int m : {4, 8, 12, 16, 20, 64, 100}) {
     for (int n : {1, 17, 100, 257}) {
-      const int k = 36;
-      SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n));
+      const int k = m == 20 ? 600 : 36;
+      SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                   " k=" + std::to_string(k));
       const auto a = random_matrix(m, k, rng);
+      const auto at = transpose(a, m, k);
       const auto b = random_matrix(k, n, rng);
+      const auto bt = transpose(b, k, n);
       const auto init = random_matrix(m, n, rng);
       PackedGemmB pb;
-      pack_gemm_b_nt(transpose(b, k, n).data(), k, n, pb);
+      pack_gemm_b_nt(bt.data(), k, n, pb);
       for (std::size_t workers : {1u, 2u, 4u}) {
         ou::ThreadPool pool(workers);
         PoolOverride ov(&pool, 1);
@@ -302,6 +320,16 @@ TEST(GemmKernels, Avx512DriversMatchAvx2Bitwise) {
               c = init;
               gemm_tiled_pb(a.data(), pb, c.data(), m, true);
               keep();
+              gemm_at(at.data(), b.data(), c.data(), m, k, n, false);
+              keep();
+              c = init;
+              gemm_at(at.data(), b.data(), c.data(), m, k, n, true);
+              keep();
+              gemm_bt_tiled(a.data(), bt.data(), c.data(), m, k, n, false);
+              keep();
+              c = init;
+              gemm_bt_tiled(a.data(), bt.data(), c.data(), m, k, n, true);
+              keep();
               return out;
             },
             "workers=" + std::to_string(workers));
@@ -314,14 +342,15 @@ TEST(GemmKernels, ThreadCountInvarianceIsBitwise) {
   // Each 4x16 output tile's k loop runs entirely on one worker, so the
   // panel split is pure work division: 1, 2, 4 and 8 threads must produce
   // BITWISE identical results (threshold forced to 1 flop so even the
-  // smallest shapes take the parallel path), for every B source and
-  // store mode of the tiled driver and for gemm_bt_tiled.
+  // smallest shapes take the parallel path), for every front-end and
+  // store mode of the tiled driver.
   ou::Rng rng(10);
   for (const Shape& s : kShapes) {
     SCOPED_TRACE(s.str());
     const auto a = random_matrix(s.m, s.k, rng);
     const auto b = random_matrix(s.k, s.n, rng);
     const auto bt = transpose(b, s.k, s.n);
+    const auto at = transpose(a, s.m, s.k);
     const std::size_t cn = static_cast<std::size_t>(s.m) * s.n;
     PackedGemmB pb;
     pack_gemm_b_nt(bt.data(), s.k, s.n, pb);
@@ -341,6 +370,11 @@ TEST(GemmKernels, ThreadCountInvarianceIsBitwise) {
       gemm_tiled_pb(a.data(), pb, c.data(), s.m, true);
       keep();
       gemm_bt_tiled(a.data(), bt.data(), c.data(), s.m, s.k, s.n, false);
+      keep();
+      gemm_at(at.data(), b.data(), c.data(), s.m, s.k, s.n, false);
+      keep();
+      c = init;
+      gemm_at(at.data(), b.data(), c.data(), s.m, s.k, s.n, true);
       keep();
       return out;
     };
@@ -494,4 +528,77 @@ TEST(GemmKernels, LinearForwardOnSplitPoolMatchesReference) {
     }
   }
   EXPECT_LT(worst, 1e-4);
+}
+
+namespace {
+
+/// One Linear forward + backward in training mode on fixed inputs:
+/// returns dX, dW and db concatenated.
+std::vector<float> linear_backward_run(int batch, int in, int out) {
+  ou::Rng rng(14);
+  Linear fc(in, out);
+  fc.set_training(true);
+  for (std::size_t i = 0; i < fc.weight().value.numel(); ++i) {
+    fc.weight().value.data()[i] = static_cast<float>(rng.normal(0.0, 0.2));
+  }
+  Tensor x({batch, in}), g({batch, out});
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    x.data()[i] = static_cast<float>(rng.normal(0.0, 1.0));
+  }
+  for (std::size_t i = 0; i < g.numel(); ++i) {
+    g.data()[i] = static_cast<float>(rng.normal(0.0, 1.0));
+  }
+  (void)fc.forward(x);
+  const Tensor gx = fc.backward(g);
+  std::vector<float> got(gx.data(), gx.data() + gx.numel());
+  got.insert(got.end(), fc.weight().grad.data(),
+             fc.weight().grad.data() + fc.weight().grad.numel());
+  got.insert(got.end(), fc.bias().grad.data(),
+             fc.bias().grad.data() + fc.bias().grad.numel());
+  return got;
+}
+
+}  // namespace
+
+TEST(GemmKernels, LinearBackwardIsBitwiseAcrossWorkerCounts) {
+  // Linear dW (gemm_at over a 300-deep batch: two depth blocks) and dX
+  // (gemm_tiled) on explicit 1-, 2- and 4-worker pools with every GEMM
+  // forced onto the split path: bitwise equal, and dW within a double
+  // reference's tolerance.
+  const int batch = 300, in = 64, out = 10;
+  std::vector<float> base;
+  for (std::size_t workers : {1u, 2u, 4u}) {
+    ou::ThreadPool pool(workers);
+    PoolOverride ov(&pool, 1);
+    const std::vector<float> got = linear_backward_run(batch, in, out);
+    if (base.empty()) {
+      base = got;
+      continue;
+    }
+    ASSERT_EQ(got.size(), base.size());
+    EXPECT_EQ(0, std::memcmp(got.data(), base.data(),
+                             got.size() * sizeof(float)))
+        << "differs at " << workers << " workers";
+  }
+  // The same inputs, rebuilt: dW[o][i] = sum_b g[b][o] * x[b][i].
+  ou::Rng rng(14);
+  std::vector<float> w(static_cast<std::size_t>(out) * in);
+  for (auto& v : w) v = static_cast<float>(rng.normal(0.0, 0.2));
+  const auto x = random_matrix(batch, in, rng);
+  const auto g = random_matrix(batch, out, rng);
+  const auto want = reference_gemm(transpose(g, batch, out), x, out, batch, in);
+  const std::vector<float> dw(
+      base.begin() + static_cast<std::ptrdiff_t>(batch) * in,
+      base.begin() + static_cast<std::ptrdiff_t>(batch) * in + out * in);
+  EXPECT_LE(max_abs_diff(dw, want), tol_for(batch));
+}
+
+TEST(GemmKernels, LinearBackwardAvx512MatchesAvx2Bitwise) {
+  const std::string skip = odenet::testing::avx512_skip_reason();
+  if (!skip.empty()) GTEST_SKIP() << skip;
+  for (int batch : {1, 9, 300}) {
+    odenet::testing::expect_avx512_matches_avx2(
+        [&] { return linear_backward_run(batch, 64, 10); },
+        "Linear backward batch=" + std::to_string(batch));
+  }
 }

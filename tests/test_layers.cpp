@@ -111,8 +111,8 @@ TEST(Linear, GradMatchesFiniteDifference) {
   EXPECT_NEAR(gin.at2(0, 1), (up - dn) / (2 * eps), 1e-2f);
 }
 
-// The fc layer now runs on the register-blocked tiled GEMM kernels
-// (gemm_bt_tiled forward, gemm_tiled/gemm_at backward); parity-check a
+// The fc layer runs on the tiled GEMM driver (gemm_tiled_pb forward over
+// the packed weight, gemm_tiled/gemm_at backward); parity-check a
 // non-trivial random case against the legacy per-element loops.
 TEST(Linear, TiledKernelsMatchLegacyLoops) {
   ou::Rng rng(7);
